@@ -48,7 +48,7 @@ var allWorkloads = []string{wGrid, wRead, wWrite}
 
 var endToEnd = []metricDef{
 	{Name: "setup_s", Unit: "s", Better: "lower", Bound: 0.25, Clock: "host",
-		Doc: "median over the run's set-ups of generate + ingest + scheme builds + service start + warm-up"},
+		Doc: "median over the run's timed set-ups (after two warm-up set-ups) of generate + ingest + scheme builds + service start + warm-up, at the reference host speed"},
 	{Name: "heap_mb", Unit: "MB", Better: "lower", Bound: 0.05,
 		Doc: "live heap after set-up, after a forced GC"},
 	{Name: "ok_ratio", Unit: "ratio", Better: "higher", Bound: 0.001,
@@ -58,23 +58,23 @@ var endToEnd = []metricDef{
 	{Name: "sim_hot_geomean_s", Unit: "sim_s", Better: "lower", Bound: 0.02, Exact: true, Clock: "simulated",
 		Doc: "geometric mean of simulated real time over the Table 7 (hot) cells"},
 	{Name: "grid_host_s", Unit: "s", Better: "lower", Bound: 0.25, Clock: "host",
-		Doc: "host time of one whole cold+hot grid: the sum over cells of each cell's median host time across the run's passes"},
+		Doc: "host time of one whole cold+hot grid at the reference host speed: the sum over cells of each cell's median across the run's passes"},
 	{Name: "read_p50_ms", Unit: "ms", Better: "lower", Bound: 0.2, Clock: "host",
-		Doc: "open-loop read latency from the scheduled send time, median"},
-	{Name: "read_p99_ms", Unit: "ms", Better: "lower", Bound: 0.25, Clock: "host",
-		Doc: "open-loop read latency from the scheduled send time, 99th percentile: the median of the 99th percentiles of five consecutive slices of the loop"},
+		Doc: "open-loop read latency from the scheduled send time at the reference host speed, median"},
+	{Name: "read_p90_ms", Unit: "ms", Better: "lower", Bound: 0.25, Clock: "host",
+		Doc: "open-loop read latency from the scheduled send time at the reference host speed, 90th percentile"},
 	{Name: "read_slo_ratio", Unit: "ratio", Better: "higher", Bound: 0.02,
 		Doc: "share of attempted open-loop reads answered correctly within the latency limit"},
 	{Name: "read_qps", Unit: "1/s", Better: "higher", Bound: 0.25, Clock: "host",
-		Doc: "closed-loop read capacity with one client per CPU: the median over 250 ms windows of correct replies per second"},
+		Doc: "closed-loop read capacity with one client per CPU at the reference host speed: the median over 250 ms windows of correct replies per second"},
 	{Name: "commit_p50_ms", Unit: "ms", Better: "lower", Bound: 0.25, Clock: "host",
-		Doc: "client-observed POST /update latency, median"},
+		Doc: "client-observed POST /update latency at the reference host speed, median"},
 	{Name: "commit_p99_ms", Unit: "ms", Better: "lower", Bound: 0.25, Clock: "host",
-		Doc: "client-observed POST /update latency, 99th percentile (compaction stalls)"},
+		Doc: "client-observed POST /update latency at the reference host speed, 99th percentile (compaction stalls)"},
 	{Name: "write_read_p50_ms", Unit: "ms", Better: "lower", Bound: 0.25, Clock: "host",
-		Doc: "read latency while commits run, median"},
-	{Name: "write_read_p99_ms", Unit: "ms", Better: "lower", Bound: 0.25, Clock: "host",
-		Doc: "read latency while commits run, 99th percentile: the median of the 99th percentiles of five consecutive slices of the phase"},
+		Doc: "read latency while commits run at the reference host speed, median"},
+	{Name: "write_read_p90_ms", Unit: "ms", Better: "lower", Bound: 0.25, Clock: "host",
+		Doc: "read latency while commits run at the reference host speed, 90th percentile"},
 }
 
 var (
@@ -97,11 +97,11 @@ var perLayer = []metricDef{
 		Doc: "timed Service.Prepare on a cached query, median"},
 	{Name: "serve.prepare_miss_us", Unit: "us", Better: "lower", Layer: "serve", Clock: "host", Moves: []string{"read_p50_ms"}, On: onRead,
 		Doc: "timed Service.Prepare on a one-off query, median"},
-	{Name: "serve.queue_wait_p99_ms", Unit: "ms", Better: "lower", Layer: "serve", Clock: "host", Moves: []string{"read_p99_ms", "read_qps"}, On: onRead,
+	{Name: "serve.queue_wait_p99_ms", Unit: "ms", Better: "lower", Layer: "serve", Clock: "host", Moves: []string{"read_p90_ms", "read_qps"}, On: onRead,
 		Doc: "admission wait (Result.Queued), 99th percentile"},
-	{Name: "serve.exec_p50_ms", Unit: "ms", Better: "lower", Layer: "serve", Clock: "host", Moves: []string{"read_p99_ms", "read_qps"}, On: onRead,
+	{Name: "serve.exec_p50_ms", Unit: "ms", Better: "lower", Layer: "serve", Clock: "host", Moves: []string{"read_p90_ms", "read_qps"}, On: onRead,
 		Doc: "Result.Latency minus Result.Queued, median"},
-	{Name: "serve.exec_p99_ms", Unit: "ms", Better: "lower", Layer: "serve", Clock: "host", Moves: []string{"read_p99_ms", "read_qps"}, On: onRead,
+	{Name: "serve.exec_p99_ms", Unit: "ms", Better: "lower", Layer: "serve", Clock: "host", Moves: []string{"read_p90_ms", "read_qps"}, On: onRead,
 		Doc: "Result.Latency minus Result.Queued, 99th percentile"},
 	{Name: "serve.decode_us", Unit: "us", Better: "lower", Layer: "serve", Clock: "host", Moves: []string{"read_p50_ms", "write_read_p50_ms"}, On: []string{wRead, wWrite},
 		Doc: "Service.DecodeRowsNull time per response, median"},
@@ -113,17 +113,17 @@ var perLayer = []metricDef{
 		Doc: "response body size, mean"},
 	{Name: "http.self_p50_ms", Unit: "ms", Better: "lower", Layer: "http", Clock: "host", Moves: []string{"read_p50_ms", "write_read_p50_ms"}, On: []string{wRead, wWrite},
 		Doc: "client wall time minus the response's latencyMs, median"},
-	{Name: "core.exec_p50_ms", Unit: "ms", Better: "lower", Layer: "core", Clock: "host", Moves: []string{"read_p99_ms", "grid_host_s"}, On: []string{wRead, wGrid},
+	{Name: "core.exec_p50_ms", Unit: "ms", Better: "lower", Layer: "core", Clock: "host", Moves: []string{"read_p90_ms", "grid_host_s"}, On: []string{wRead, wGrid},
 		Doc: "core.ExecutePlanCtx replayed one at a time with the served options, median"},
-	{Name: "core.exec_p99_ms", Unit: "ms", Better: "lower", Layer: "core", Clock: "host", Moves: []string{"read_p99_ms", "grid_host_s"}, On: []string{wRead, wGrid},
+	{Name: "core.exec_p99_ms", Unit: "ms", Better: "lower", Layer: "core", Clock: "host", Moves: []string{"read_p90_ms", "grid_host_s"}, On: []string{wRead, wGrid},
 		Doc: "core.ExecutePlanCtx replay, 99th percentile"},
-	{Name: "core.alloc_kb_per_query", Unit: "KiB", Better: "lower", Layer: "core", Moves: []string{"read_p99_ms", "grid_host_s"}, On: []string{wRead, wGrid},
+	{Name: "core.alloc_kb_per_query", Unit: "KiB", Better: "lower", Layer: "core", Moves: []string{"read_p90_ms", "grid_host_s"}, On: []string{wRead, wGrid},
 		Doc: "runtime.MemStats TotalAlloc delta per replayed query, mean"},
-	{Name: "core.allocs_per_query", Unit: "count", Better: "lower", Layer: "core", Moves: []string{"read_p99_ms", "grid_host_s"}, On: []string{wRead, wGrid},
+	{Name: "core.allocs_per_query", Unit: "count", Better: "lower", Layer: "core", Moves: []string{"read_p90_ms", "grid_host_s"}, On: []string{wRead, wGrid},
 		Doc: "runtime.MemStats Mallocs delta per replayed query, mean"},
 	{Name: "core.peak_kb", Unit: "KiB", Better: "lower", Layer: "core", Moves: []string{"heap_mb"}, On: onAll,
 		Doc: "Trace.PeakBytes per replayed query, mean"},
-	{Name: "core.source_batches", Unit: "count", Better: "lower", Layer: "core", Moves: []string{"read_p99_ms"}, On: onRead,
+	{Name: "core.source_batches", Unit: "count", Better: "lower", Layer: "core", Moves: []string{"read_p90_ms"}, On: onRead,
 		Doc: "Trace.SourceBatches per replayed query, mean"},
 	{Name: "rowstore.exec_p50_ms", Unit: "ms", Better: "lower", Layer: "rowstore", Clock: "host", Moves: []string{"read_p50_ms", "grid_host_s"}, On: []string{wRead, wGrid},
 		Doc: "core replay on the row-engine (DBX) targets, median"},
@@ -150,17 +150,21 @@ var perLayer = []metricDef{
 	{Name: "core.delta_entries", Unit: "count", Better: "lower", Layer: "core", Moves: []string{"write_read_p50_ms"}, On: onWrite,
 		Doc: "Mutator.Delta() adds+dels sampled at each read beside commits, mean"},
 	{Name: "datagen.generate_s", Unit: "s", Better: "lower", Layer: "datagen", Clock: "host", Moves: []string{"setup_s"}, On: onAll,
-		Doc: "datagen.Generate time, median over set-ups"},
+		Doc: "datagen.Generate time, median over timed set-ups"},
 	{Name: "ingest.load_triples_per_s", Unit: "1/s", Better: "higher", Layer: "ingest", Clock: "host", Moves: []string{"setup_s"}, On: onAll,
-		Doc: "ingest.Load throughput on the serialized data set, median over set-ups"},
+		Doc: "ingest.Load throughput on the serialized data set, median over timed set-ups"},
 	{Name: "ingest.build_s", Unit: "s", Better: "lower", Layer: "ingest", Clock: "host", Moves: []string{"setup_s", "commit_p99_ms"}, On: onAll,
-		Doc: "ingest.BuildSchemes time for the four served schemes, median over set-ups and compactions"},
+		Doc: "ingest.BuildSchemes time for the four served schemes, median over timed set-ups and compactions"},
 	{Name: "verify.history_ops", Unit: "count", Better: "higher", Layer: "verify", On: onWrite,
 		Doc: "operations in the SI-checked history; a violation is a failure"},
 	{Name: "loadgen.late_p99_ms", Unit: "ms", Better: "lower", Layer: "loadgen", Clock: "host",
 		Doc: "how late the open-loop generator sent, 99th percentile (reported, not gated)"},
 	{Name: "trace.read_p50_ms", Unit: "ms", Better: "lower", Layer: "trace", Clock: "host",
-		Doc: "read_p50_ms of the traced run; minus the untraced run's read_p50_ms it is the tracing overhead"},
+		Doc: "read_p50_ms of the traced run, at the reference host speed; minus the untraced run's read_p50_ms it is the tracing overhead"},
+	{Name: "trace.read_p99_ms", Unit: "ms", Better: "lower", Layer: "trace", Clock: "host", Moves: []string{"read_p90_ms"}, On: onRead,
+		Doc: "open-loop read latency of the traced run at the reference host speed, 99th percentile; reported, not gated: its run-to-run spread on a shared 2-vCPU host exceeds any usable bound"},
+	{Name: "trace.write_read_p99_ms", Unit: "ms", Better: "lower", Layer: "trace", Clock: "host", Moves: []string{"write_read_p90_ms"}, On: onWrite,
+		Doc: "read latency beside commits in the traced run at the reference host speed, 99th percentile; reported, not gated"},
 	{Name: "trace.unattributed_pct", Unit: "%", Better: "lower", Layer: "trace",
 		Doc: "client wall time of traced HTTP requests not covered by a layer's self time; must stay within the reconciliation bound"},
 	{Name: "trace.spans", Unit: "count", Better: "lower", Layer: "trace",

@@ -28,10 +28,11 @@ type simioCounts struct {
 
 type gridResult struct {
 	passes   int
-	walls    []float64   // host seconds per pass
-	cellHost [][]float64 // host seconds per cell, one slice per cell over the passes
-	cold     []float64   // simulated real seconds per Table 6 cell
-	hot      []float64   // ... per Table 7 cell
+	walls    []float64      // host seconds per pass
+	spans    [][2]time.Time // start and end of each pass
+	cellHost [][]float64    // host seconds per cell, one slice per cell over the passes
+	cold     []float64      // simulated real seconds per Table 6 cell
+	hot      []float64      // ... per Table 7 cell
 	simio    simioCounts
 	simCPU   float64
 	simIO    float64
@@ -49,7 +50,9 @@ func (e *env) runGrid(budget time.Duration) *gridResult {
 	for wall := time.Duration(0); res.passes == 0 || time.Until(deadline) > wall*3/4; {
 		var cells []cell
 		var hosts []float64
+		t0 := time.Now()
 		cells, hosts, wall = e.gridPass(res)
+		res.spans = append(res.spans, [2]time.Time{t0, time.Now()})
 		if res.cellHost == nil {
 			res.cellHost = make([][]float64, len(hosts))
 		}
@@ -137,13 +140,22 @@ func (e *env) gridPass(res *gridResult) ([]cell, []float64, time.Duration) {
 	return cells, hosts, wall
 }
 
-// hostSeconds is the grid's host time: the sum over cells of each cell's
-// median host time across the passes, which a burst of CPU contention in
-// one pass does not move.
-func (g *gridResult) hostSeconds() float64 {
-	s := 0.0
-	for _, c := range g.cellHost {
-		s += median(c)
+// hostSeconds is the grid's host time at the reference speed: the sum over
+// cells of each cell's median host time across the passes, which a burst of
+// CPU contention in one pass does not move, each pass scaled by its speed
+// factor. An empty trace gives the time on the host clock.
+func (g *gridResult) hostSeconds(sp speedTrace) float64 {
+	div := make([]float64, len(g.spans))
+	for k, s := range g.spans {
+		div[k] = sp.factor(s[0], s[1])
 	}
-	return s
+	sum := 0.0
+	for _, c := range g.cellHost {
+		v := make([]float64, len(c))
+		for k, h := range c {
+			v[k] = h / div[k]
+		}
+		sum += median(v)
+	}
+	return sum
 }

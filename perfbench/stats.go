@@ -25,25 +25,6 @@ func quantile(vals []float64, q float64) float64 {
 
 func median(vals []float64) float64 { return quantile(vals, 0.5) }
 
-// tailSlices is how many consecutive slices a reported p99 is taken over:
-// the metric is the median of the slices' 99th percentiles, so a stall of
-// the shared host inside one slice does not move it.
-const tailSlices = 5
-
-// slicedP99 splits lat, in send order, into tailSlices consecutive slices
-// and returns the median of their 99th percentiles.
-func slicedP99(lat []float64) float64 {
-	n := len(lat) / tailSlices
-	if n == 0 {
-		return quantile(append([]float64(nil), lat...), 0.99)
-	}
-	p := make([]float64, tailSlices)
-	for i := range p {
-		p[i] = quantile(append([]float64(nil), lat[i*n:(i+1)*n]...), 0.99)
-	}
-	return median(p)
-}
-
 func mean(vals []float64) float64 {
 	if len(vals) == 0 {
 		return 0

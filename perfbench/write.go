@@ -33,6 +33,7 @@ type commitRec struct {
 }
 
 type writeResult struct {
+	start, end time.Time // the measured phase, for its speed factor
 	commits    []commitRec
 	reads      []readRec
 	keyReads   int
@@ -90,7 +91,8 @@ func (e *env) runWrite(st *stream, in *inputs, budget time.Duration, seed int64)
 	// The writer publishes Mutator.Delta() after each commit; the reader
 	// samples the latest value, so it never waits on the commit lock.
 	var delta atomic.Int64
-	deadline := time.Now().Add(budget)
+	res.start = time.Now()
+	deadline := res.start.Add(budget)
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards res.failures and res.notes
 	wg.Add(2)
@@ -173,6 +175,7 @@ func (e *env) runWrite(st *stream, in *inputs, budget time.Duration, seed int64)
 		}
 	}()
 	wg.Wait()
+	res.end = time.Now()
 
 	for i, r := range recs {
 		h := r.History()
