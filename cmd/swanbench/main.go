@@ -26,20 +26,16 @@
 //	          pipeline (triples/sec, per-stage breakdown, deterministic
 //	          byte-identity and cross-build query equivalence);
 //	          -load-report writes the JSON report
-//	stream    streaming vs materializing executor: paper queries plus a
-//	          generated ORDER BY/LIMIT workload, reporting simulated time,
-//	          host time, physical I/O and peak per-query memory;
-//	          -stream-report writes the JSON report
-//	profile   per-operator EXPLAIN ANALYZE on every scheme and both
-//	          executors: estimate-vs-actual rows (q-error), simulated
-//	          charges per operator, and the profiling host-overhead ratio;
-//	          -profile-report writes the JSON report
-//	trace     request-tracing overhead: every scheme and both executors
-//	          through the serving layer, traced (100%% sampling) vs
-//	          untraced, gated on byte-identical rows and identical
-//	          simulated charges; -trace-report writes the JSON report
-//	workload-obs  workload-registry overhead: every scheme and both
-//	          executors through the serving layer, registry on vs off,
+//	profile   per-operator EXPLAIN ANALYZE on every scheme: estimate-vs-
+//	          actual rows (q-error), simulated charges per operator, and
+//	          the profiling host-overhead ratio; -profile-report writes
+//	          the JSON report
+//	trace     request-tracing overhead: every scheme through the serving
+//	          layer, traced (100%% sampling) vs untraced, gated on
+//	          byte-identical rows and identical simulated charges;
+//	          -trace-report writes the JSON report
+//	workload-obs  workload-registry overhead: every scheme through the
+//	          serving layer, registry on vs off,
 //	          gated on byte-identical rows, identical simulated charges,
 //	          per-fingerprint quantiles within the sketch's ε rank bound,
 //	          and folded per-operator q-error aggregates;
@@ -100,10 +96,6 @@ func main() {
 		loadChunk   = flag.Int("load-chunk", 0, "scan-stage chunk bytes for the load experiment (defaults to 1MiB)")
 		loadQuick   = flag.Bool("load-quick", false, "skip the load experiment's scheme-build/query-equivalence phase")
 		loadReport  = flag.String("load-report", "", "write the load experiment's JSON report to this file")
-		strQueries  = flag.Int("stream-queries", 10, "generated ORDER BY/LIMIT queries for the stream experiment")
-		strHot      = flag.Bool("stream-hot", false, "run the stream experiment hot instead of cold")
-		strOverlap  = flag.Bool("stream-overlap", false, "use the overlapped-I/O clock composition for the stream experiment")
-		strReport   = flag.String("stream-report", "", "write the stream experiment's JSON report to this file")
 		profQueries = flag.Int("profile-queries", 6, "generated BGP queries for the profile experiment")
 		profCold    = flag.Bool("profile-cold", false, "run the profile experiment cold instead of hot")
 		profReport  = flag.String("profile-report", "", "write the profile experiment's JSON report to this file")
@@ -123,7 +115,7 @@ func main() {
 		version     = flag.Bool("version", false, "print the build identity and exit")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: swanbench [flags] <experiment>\nexperiments: table1 fig1 table2 table4 table5 fig5 table6 table7 fig6 fig7 parallel workloads serve load stream profile trace workload-obs mutate sql gen all\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: swanbench [flags] <experiment>\nexperiments: table1 fig1 table2 table4 table5 fig5 table6 table7 fig6 fig7 parallel workloads serve load profile trace workload-obs mutate sql gen all\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -265,29 +257,6 @@ func main() {
 				fail(os.WriteFile(*loadReport, append(data, '\n'), 0o644))
 				fmt.Fprintf(os.Stderr, "load report written to %s\n", *loadReport)
 			}
-		case "stream":
-			wseed := *bgpSeed
-			if wseed == 0 {
-				wseed = *seed
-			}
-			mode := bench.Cold
-			if *strHot {
-				mode = bench.Hot
-			}
-			section(fmt.Sprintf("Stream: streaming vs materializing executor, %d LIMIT queries (seed %d), %s runs", *strQueries, wseed, mode))
-			systems, err := bench.BGPSystems(w)
-			fail(err)
-			report, err := bench.RunStream(w, systems, bench.StreamOptions{
-				Queries: *strQueries, Seed: wseed, Mode: mode, Overlapped: *strOverlap,
-			})
-			fail(err)
-			fmt.Print(bench.FormatStream(report))
-			if *strReport != "" {
-				data, err := json.MarshalIndent(report, "", "  ")
-				fail(err)
-				fail(os.WriteFile(*strReport, append(data, '\n'), 0o644))
-				fmt.Fprintf(os.Stderr, "stream report written to %s\n", *strReport)
-			}
 		case "profile":
 			wseed := *bgpSeed
 			if wseed == 0 {
@@ -391,7 +360,7 @@ func main() {
 	}
 
 	if flag.Arg(0) == "all" {
-		for _, name := range []string{"table1", "fig1", "table2", "table4", "table5", "fig5", "table6", "table7", "fig6", "fig7", "parallel", "workloads", "serve", "load", "stream", "profile", "trace", "workload-obs", "mutate"} {
+		for _, name := range []string{"table1", "fig1", "table2", "table4", "table5", "fig5", "table6", "table7", "fig6", "fig7", "parallel", "workloads", "serve", "load", "profile", "trace", "workload-obs", "mutate"} {
 			run(name)
 		}
 		return

@@ -13,8 +13,8 @@ import (
 )
 
 // The profile experiment exercises EXPLAIN ANALYZE end to end: every paper
-// query plus a generated BGP workload runs on every scheme under both
-// executors with per-operator profiling on, and the report records, per
+// query plus a generated BGP workload runs on every scheme with
+// per-operator profiling on, and the report records, per
 // operator, the optimizer's cardinality estimate against the measured row
 // count (q-error). Two invariants gate an emitted report:
 //
@@ -60,13 +60,12 @@ type ProfileOp struct {
 	PeakBytes int64   `json:"peakBytes"`
 }
 
-// ProfileQueryResult is one (query, system, executor) profiled cell.
+// ProfileQueryResult is one (query, system) profiled cell.
 type ProfileQueryResult struct {
-	Query    string `json:"query"`
-	Kind     string `json:"kind"` // "paper" or "bgp"
-	System   string `json:"system"`
-	Executor string `json:"executor"` // "materializing" or "streaming"
-	Rows     int    `json:"rows"`
+	Query  string `json:"query"`
+	Kind   string `json:"kind"` // "paper" or "bgp"
+	System string `json:"system"`
+	Rows   int    `json:"rows"`
 	// Identical: profiled rows were byte-identical to unprofiled rows.
 	// ChargesEqual: the simulated clock advanced identically in both runs.
 	Identical    bool `json:"identical"`
@@ -118,20 +117,19 @@ func qError(est float64, rows int) float64 {
 	return a / e
 }
 
-// profileCell measures one (plan, system, executor) cell: repeated
-// unprofiled and profiled runs (min host time of each), identity checks,
-// and the per-operator rows from the last profiled run.
-func profileCell(sys *System, root core.Node, streaming bool, mode Mode,
+// profileCell measures one (plan, system) cell: repeated unprofiled and
+// profiled runs (min host time of each), identity checks, and the
+// per-operator rows from the last profiled run.
+func profileCell(sys *System, root core.Node, mode Mode,
 	est *bgp.Estimator, term func(rdf.ID) string) (ProfileQueryResult, minHost, error) {
 
 	src, ok := sys.DB.(core.PhysicalSource)
 	if !ok {
 		return ProfileQueryResult{}, minHost{}, fmt.Errorf("bench: %s cannot run compiled plans", sys.Name)
 	}
-	opt := core.ExecOptions{Streaming: streaming}
 	if mode == Hot {
 		sys.Store.DropCaches()
-		if _, _, _, err := core.ExecutePlan(src, root, opt); err != nil {
+		if _, _, _, err := core.ExecutePlan(src, root, core.ExecOptions{}); err != nil {
 			return ProfileQueryResult{}, minHost{}, err
 		}
 	}
@@ -140,10 +138,8 @@ func profileCell(sys *System, root core.Node, streaming bool, mode Mode,
 			sys.Store.DropCaches()
 		}
 		sys.Store.Clock().Reset()
-		o := opt
-		o.Profile = profile
 		host0 := time.Now()
-		out, _, tr, err := core.ExecutePlan(src, root, o)
+		out, _, tr, err := core.ExecutePlan(src, root, core.ExecOptions{Profile: profile})
 		host := time.Since(host0)
 		if err != nil {
 			return nil, err
@@ -176,11 +172,6 @@ func profileCell(sys *System, root core.Node, streaming bool, mode Mode,
 		Rows:         prof.out.Len(),
 		Identical:    plain.out.W == prof.out.W && fmt.Sprint(plain.out.Data) == fmt.Sprint(prof.out.Data),
 		ChargesEqual: plain.real == prof.real && plain.user == prof.user,
-	}
-	if streaming {
-		res.Executor = "streaming"
-	} else {
-		res.Executor = "materializing"
 	}
 	tree := prof.tr.Profile
 	if tree == nil {
@@ -265,7 +256,7 @@ func RunProfile(w *Workload, systems []*System, opt ProfileOptions) (*ProfileRep
 		jobs = append(jobs, job{name: q.String(), kind: "paper", root: p.Root})
 		report.PaperQueries++
 	}
-	for _, q := range streamGenQueries(w,
+	for _, q := range genQueries(w,
 		bgp.GenConfig{Seed: opt.Seed, OptionalProb: 0.3, RangeProb: 0.3},
 		func(q *bgp.Query) bool { return true }, opt.Queries) {
 		compiled, err := bgp.Compile(q, w.DS.Graph.Dict, est)
@@ -280,32 +271,30 @@ func RunProfile(w *Workload, systems []*System, opt ProfileOptions) (*ProfileRep
 	var qerrs []float64
 	for _, j := range jobs {
 		for _, sys := range systems {
-			for _, streaming := range []bool{false, true} {
-				cell, mh, err := profileCell(sys, j.root, streaming, opt.Mode, est, term)
-				if err != nil {
-					return nil, fmt.Errorf("bench: profile %s on %s: %w", j.name, sys.Name, err)
-				}
-				cell.Query, cell.Kind, cell.System = j.name, j.kind, sys.Name
-				if !cell.Identical {
-					return nil, fmt.Errorf("bench: profile %s on %s (%s): profiled rows differ from unprofiled",
-						j.name, sys.Name, cell.Executor)
-				}
-				if !cell.ChargesEqual {
-					return nil, fmt.Errorf("bench: profile %s on %s (%s): profiled charges differ from unprofiled",
-						j.name, sys.Name, cell.Executor)
-				}
-				sumPlain += mh.plain
-				sumProf += mh.prof
-				for _, op := range cell.Ops {
-					if op.EstRows >= 0 {
-						qerrs = append(qerrs, op.QError)
-					}
-				}
-				if cell.MaxQError > report.MaxQError {
-					report.MaxQError = cell.MaxQError
-				}
-				report.Queries = append(report.Queries, cell)
+			cell, mh, err := profileCell(sys, j.root, opt.Mode, est, term)
+			if err != nil {
+				return nil, fmt.Errorf("bench: profile %s on %s: %w", j.name, sys.Name, err)
 			}
+			cell.Query, cell.Kind, cell.System = j.name, j.kind, sys.Name
+			if !cell.Identical {
+				return nil, fmt.Errorf("bench: profile %s on %s: profiled rows differ from unprofiled",
+					j.name, sys.Name)
+			}
+			if !cell.ChargesEqual {
+				return nil, fmt.Errorf("bench: profile %s on %s: profiled charges differ from unprofiled",
+					j.name, sys.Name)
+			}
+			sumPlain += mh.plain
+			sumProf += mh.prof
+			for _, op := range cell.Ops {
+				if op.EstRows >= 0 {
+					qerrs = append(qerrs, op.QError)
+				}
+			}
+			if cell.MaxQError > report.MaxQError {
+				report.MaxQError = cell.MaxQError
+			}
+			report.Queries = append(report.Queries, cell)
 		}
 	}
 	if sumPlain > 0 {
@@ -349,8 +338,8 @@ func FormatProfile(r *ProfileReport) string {
 		ws = ws[:12]
 	}
 	fmt.Fprintf(&b, "worst operator estimates (q-error = max(est/actual, actual/est)):\n")
-	fmt.Fprintf(&b, "%-9s %-40s %-18s %-13s %8s %10s %8s\n",
-		"q-error", "query", "system", "executor", "rows", "est", "op")
+	fmt.Fprintf(&b, "%-9s %-40s %-18s %8s %10s %8s\n",
+		"q-error", "query", "system", "rows", "est", "op")
 	for _, x := range ws {
 		name := x.q.Query
 		if len(name) > 40 {
@@ -360,14 +349,34 @@ func FormatProfile(r *ProfileReport) string {
 		if len(op) > 28 {
 			op = op[:25] + "..."
 		}
-		fmt.Fprintf(&b, "%-9.2f %-40s %-18s %-13s %8d %10.1f %s\n",
-			x.op.QError, name, x.q.System, x.q.Executor, x.op.Rows, x.op.EstRows, op)
+		fmt.Fprintf(&b, "%-9.2f %-40s %-18s %8d %10.1f %s\n",
+			x.op.QError, name, x.q.System, x.op.Rows, x.op.EstRows, op)
 	}
 
 	// One representative EXPLAIN ANALYZE rendering.
 	if len(r.Queries) > 0 {
 		q := r.Queries[0]
-		fmt.Fprintf(&b, "\nEXPLAIN ANALYZE sample — %s on %s (%s):\n%s", q.Query, q.System, q.Executor, q.Analyze)
+		fmt.Fprintf(&b, "\nEXPLAIN ANALYZE sample — %s on %s:\n%s", q.Query, q.System, q.Analyze)
 	}
 	return b.String()
+}
+
+// genQueries generates n distinct queries under cfg that keep accepts.
+func genQueries(w *Workload, cfg bgp.GenConfig, keep func(*bgp.Query) bool, n int) []*bgp.Query {
+	gen := bgp.NewGenerator(w.DS.Graph, cfg)
+	out := make([]*bgp.Query, 0, n)
+	seen := map[string]bool{}
+	for i := 0; len(out) < n && i < n*50; i++ {
+		q, _ := gen.Query(i)
+		if !keep(q) {
+			continue
+		}
+		canon := bgp.CanonicalText(q.Text())
+		if seen[canon] {
+			continue
+		}
+		seen[canon] = true
+		out = append(out, q)
+	}
+	return out
 }

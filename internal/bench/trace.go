@@ -12,10 +12,9 @@ import (
 
 // The trace experiment guards the tracing layer the same way the profile
 // experiment guards EXPLAIN ANALYZE: a generated BGP workload runs through
-// the serving layer on every scheme under both executors, once on an
-// untraced service and once on a service tracing every request (head
-// sampling at 1.0, so every span is recorded and ring-committed — the
-// worst case). Two invariants gate an emitted report:
+// the serving layer on every scheme, once on an untraced service and once
+// on a service tracing every request (head sampling at 1.0, so every span
+// is recorded and ring-committed — the worst case). Two invariants gate an emitted report:
 //
 //   - observation only: a traced execution returns byte-identical rows
 //     and identical simulated charges to the untraced execution of the
@@ -45,11 +44,10 @@ func (o TraceBenchOptions) withDefaults() TraceBenchOptions {
 	return o
 }
 
-// TraceCell is one (system, executor) aggregate of the trace experiment.
+// TraceCell is one system's aggregate of the trace experiment.
 type TraceCell struct {
-	System   string `json:"system"`
-	Executor string `json:"executor"` // "materializing" or "streaming"
-	Queries  int    `json:"queries"`
+	System  string `json:"system"`
+	Queries int    `json:"queries"`
 	// PlainMs and TracedMs are the summed per-query minimum host times.
 	PlainMs  float64 `json:"plainMs"`
 	TracedMs float64 `json:"tracedMs"`
@@ -102,91 +100,83 @@ func RunTraceBench(w *Workload, systems []*System, opt TraceBenchOptions) (*Trac
 	}
 
 	var sumPlain, sumTraced time.Duration
-	for _, materialize := range []bool{false, true} {
-		executor := "streaming"
-		if materialize {
-			executor = "materializing"
-		}
-		plainSvc, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{Materialize: materialize}, targets...)
-		if err != nil {
-			return nil, err
-		}
-		tracer := trace.New(trace.Config{SampleRate: 1, Seed: opt.Seed + 1})
-		tracedSvc, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{
-			Materialize: materialize, Tracer: tracer,
-		}, targets...)
-		if err != nil {
-			return nil, err
-		}
-		// Warm both plan caches and the buffer pools so the measured runs
-		// compare the tracing layer, not first-touch compilation or I/O.
-		for _, t := range targets {
-			for _, text := range texts {
-				if _, err := plainSvc.ExecText(ctx, text, t.Name); err != nil {
-					return nil, fmt.Errorf("bench: trace warm %s: %w", t.Name, err)
-				}
-				if _, err := tracedSvc.ExecText(ctx, text, t.Name); err != nil {
-					return nil, fmt.Errorf("bench: trace warm %s: %w", t.Name, err)
-				}
+	plainSvc, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{}, targets...)
+	if err != nil {
+		return nil, err
+	}
+	tracer := trace.New(trace.Config{SampleRate: 1, Seed: opt.Seed + 1})
+	tracedSvc, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{Tracer: tracer}, targets...)
+	if err != nil {
+		return nil, err
+	}
+	// Warm both plan caches and the buffer pools so the measured runs
+	// compare the tracing layer, not first-touch compilation or I/O.
+	for _, t := range targets {
+		for _, text := range texts {
+			if _, err := plainSvc.ExecText(ctx, text, t.Name); err != nil {
+				return nil, fmt.Errorf("bench: trace warm %s: %w", t.Name, err)
+			}
+			if _, err := tracedSvc.ExecText(ctx, text, t.Name); err != nil {
+				return nil, fmt.Errorf("bench: trace warm %s: %w", t.Name, err)
 			}
 		}
-		for _, t := range targets {
-			sys := storeOf(t.Name)
-			cell := TraceCell{System: t.Name, Executor: executor, Queries: len(texts)}
-			for _, text := range texts {
-				var plainMin, tracedMin time.Duration
-				var set bool
-				for rep := 0; rep < opt.Reps; rep++ {
-					sys.Store.Clock().Reset()
-					h0 := time.Now()
-					plainRes, err := plainSvc.ExecText(ctx, text, t.Name)
-					plainHost := time.Since(h0)
-					if err != nil {
-						return nil, fmt.Errorf("bench: trace plain %s: %w", t.Name, err)
-					}
-					plainReal, plainUser := sys.Store.Clock().Real(), sys.Store.Clock().User()
+	}
+	for _, t := range targets {
+		sys := storeOf(t.Name)
+		cell := TraceCell{System: t.Name, Queries: len(texts)}
+		for _, text := range texts {
+			var plainMin, tracedMin time.Duration
+			var set bool
+			for rep := 0; rep < opt.Reps; rep++ {
+				sys.Store.Clock().Reset()
+				h0 := time.Now()
+				plainRes, err := plainSvc.ExecText(ctx, text, t.Name)
+				plainHost := time.Since(h0)
+				if err != nil {
+					return nil, fmt.Errorf("bench: trace plain %s: %w", t.Name, err)
+				}
+				plainReal, plainUser := sys.Store.Clock().Real(), sys.Store.Clock().User()
 
-					sys.Store.Clock().Reset()
-					h0 = time.Now()
-					tctx, _, finish := tracedSvc.TraceStart(ctx, "query", "")
-					tracedRes, err := tracedSvc.ExecText(tctx, text, t.Name)
-					finish(err)
-					tracedHost := time.Since(h0)
-					if err != nil {
-						return nil, fmt.Errorf("bench: trace traced %s: %w", t.Name, err)
-					}
-					tracedReal, tracedUser := sys.Store.Clock().Real(), sys.Store.Clock().User()
-
-					if fmt.Sprint(plainRes.Rows) != fmt.Sprint(tracedRes.Rows) {
-						return nil, fmt.Errorf("bench: trace: %s (%s): traced result not byte-identical for %q", t.Name, executor, text)
-					}
-					if plainReal != tracedReal || plainUser != tracedUser {
-						return nil, fmt.Errorf("bench: trace: %s (%s): traced charges (real %v, user %v) differ from untraced (real %v, user %v) for %q",
-							t.Name, executor, tracedReal, tracedUser, plainReal, plainUser, text)
-					}
-					if !set || plainHost < plainMin {
-						plainMin = plainHost
-					}
-					if !set || tracedHost < tracedMin {
-						tracedMin = tracedHost
-					}
-					set = true
+				sys.Store.Clock().Reset()
+				h0 = time.Now()
+				tctx, _, finish := tracedSvc.TraceStart(ctx, "query", "")
+				tracedRes, err := tracedSvc.ExecText(tctx, text, t.Name)
+				finish(err)
+				tracedHost := time.Since(h0)
+				if err != nil {
+					return nil, fmt.Errorf("bench: trace traced %s: %w", t.Name, err)
 				}
-				cell.PlainMs += float64(plainMin.Microseconds()) / 1e3
-				cell.TracedMs += float64(tracedMin.Microseconds()) / 1e3
-				sumPlain += plainMin
-				sumTraced += tracedMin
+				tracedReal, tracedUser := sys.Store.Clock().Real(), sys.Store.Clock().User()
+
+				if fmt.Sprint(plainRes.Rows) != fmt.Sprint(tracedRes.Rows) {
+					return nil, fmt.Errorf("bench: trace: %s: traced result not byte-identical for %q", t.Name, text)
+				}
+				if plainReal != tracedReal || plainUser != tracedUser {
+					return nil, fmt.Errorf("bench: trace: %s: traced charges (real %v, user %v) differ from untraced (real %v, user %v) for %q",
+						t.Name, tracedReal, tracedUser, plainReal, plainUser, text)
+				}
+				if !set || plainHost < plainMin {
+					plainMin = plainHost
+				}
+				if !set || tracedHost < tracedMin {
+					tracedMin = tracedHost
+				}
+				set = true
 			}
-			if cell.PlainMs > 0 {
-				cell.Ratio = cell.TracedMs / cell.PlainMs
-			}
-			report.Cells = append(report.Cells, cell)
+			cell.PlainMs += float64(plainMin.Microseconds()) / 1e3
+			cell.TracedMs += float64(tracedMin.Microseconds()) / 1e3
+			sumPlain += plainMin
+			sumTraced += tracedMin
 		}
-		st := tracer.Stats()
-		report.TracesKept += st.Kept
-		for _, rec := range tracer.Traces() {
-			report.Spans += int64(len(rec.Spans))
+		if cell.PlainMs > 0 {
+			cell.Ratio = cell.TracedMs / cell.PlainMs
 		}
+		report.Cells = append(report.Cells, cell)
+	}
+	st := tracer.Stats()
+	report.TracesKept += st.Kept
+	for _, rec := range tracer.Traces() {
+		report.Spans += int64(len(rec.Spans))
 	}
 	if sumPlain > 0 {
 		report.OverheadRatio = float64(sumTraced) / float64(sumPlain)
@@ -205,9 +195,9 @@ func FormatTraceBench(r *TraceBenchReport) string {
 	fmt.Fprintf(&b, "byte-identical: %v; charges equal: %v; traces kept %d (%d spans)\n",
 		r.Identical, r.ChargesEqual, r.TracesKept, r.Spans)
 	fmt.Fprintf(&b, "tracing host overhead: %.3fx (guard: 1.10)\n\n", r.OverheadRatio)
-	fmt.Fprintf(&b, "%-18s %-13s %10s %10s %8s\n", "system", "executor", "plain ms", "traced ms", "ratio")
+	fmt.Fprintf(&b, "%-18s %10s %10s %8s\n", "system", "plain ms", "traced ms", "ratio")
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "%-18s %-13s %10.3f %10.3f %7.3fx\n", c.System, c.Executor, c.PlainMs, c.TracedMs, c.Ratio)
+		fmt.Fprintf(&b, "%-18s %10.3f %10.3f %7.3fx\n", c.System, c.PlainMs, c.TracedMs, c.Ratio)
 	}
 	return b.String()
 }

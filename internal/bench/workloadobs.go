@@ -13,9 +13,9 @@ import (
 
 // The workload-obs experiment guards the workload registry the way the
 // trace experiment guards tracing: a generated BGP workload runs through
-// the serving layer on every scheme under both executors, once with the
-// registry disabled and once with it on (the serving default). Three
-// invariants gate an emitted report:
+// the serving layer on every scheme, once with the registry disabled and
+// once with it on (the serving default). Three invariants gate an emitted
+// report:
 //
 //   - observation only: with the registry on, every execution returns
 //     byte-identical rows and identical simulated charges;
@@ -49,11 +49,10 @@ func (o WorkloadObsOptions) withDefaults() WorkloadObsOptions {
 	return o
 }
 
-// WorkloadObsCell is one (system, executor) aggregate.
+// WorkloadObsCell is one system's aggregate.
 type WorkloadObsCell struct {
-	System   string `json:"system"`
-	Executor string `json:"executor"` // "materializing" or "streaming"
-	Queries  int    `json:"queries"`
+	System  string `json:"system"`
+	Queries int    `json:"queries"`
 	// PlainMs and ObservedMs are the summed per-query minimum host times
 	// with the registry off resp. on.
 	PlainMs    float64 `json:"plainMs"`
@@ -128,109 +127,86 @@ func RunWorkloadObs(w *Workload, systems []*System, opt WorkloadObsOptions) (*Wo
 		exact[res.Fingerprint] = append(exact[res.Fingerprint], float64(ns))
 	}
 
-	// One observed service across both executor passes, so the registry
-	// aggregates the whole experiment; the plain services stay per-pass
-	// like the trace bench's.
-	var observedSvc *serve.Service
-
 	var sumPlain, sumObserved time.Duration
-	for _, materialize := range []bool{false, true} {
-		executor := "streaming"
-		if materialize {
-			executor = "materializing"
+	plainSvc, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{WorkloadCapacity: -1}, targets...)
+	if err != nil {
+		return nil, err
+	}
+	observedSvc, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{}, targets...)
+	if err != nil {
+		return nil, err
+	}
+	// Warm both plan caches and the buffer pools so the measured runs
+	// compare the registry's record path, not first-touch compilation
+	// or I/O.
+	for _, t := range targets {
+		for _, text := range texts {
+			if _, err := plainSvc.ExecText(ctx, text, t.Name); err != nil {
+				return nil, fmt.Errorf("bench: workload-obs warm %s: %w", t.Name, err)
+			}
+			res, err := observedSvc.ExecText(ctx, text, t.Name)
+			if err != nil {
+				return nil, fmt.Errorf("bench: workload-obs warm %s: %w", t.Name, err)
+			}
+			observe(res)
 		}
-		plainSvc, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{
-			Materialize: materialize, WorkloadCapacity: -1,
-		}, targets...)
-		if err != nil {
-			return nil, err
-		}
-		obsSvc, err := serve.New(w.DS.Graph.Dict, w.Estimator(), serve.Config{
-			Materialize: materialize,
-		}, targets...)
-		if err != nil {
-			return nil, err
-		}
-		if observedSvc == nil {
-			observedSvc = obsSvc
-		}
-		// Warm both plan caches and the buffer pools so the measured runs
-		// compare the registry's record path, not first-touch compilation
-		// or I/O.
-		for _, t := range targets {
-			for _, text := range texts {
-				if _, err := plainSvc.ExecText(ctx, text, t.Name); err != nil {
-					return nil, fmt.Errorf("bench: workload-obs warm %s: %w", t.Name, err)
-				}
-				res, err := obsSvc.ExecText(ctx, text, t.Name)
+	}
+	for _, t := range targets {
+		sys := storeOf(t.Name)
+		cell := WorkloadObsCell{System: t.Name, Queries: len(texts)}
+		for _, text := range texts {
+			var plainMin, obsMin time.Duration
+			var set bool
+			for rep := 0; rep < opt.Reps; rep++ {
+				sys.Store.Clock().Reset()
+				h0 := time.Now()
+				plainRes, err := plainSvc.ExecText(ctx, text, t.Name)
+				plainHost := time.Since(h0)
 				if err != nil {
-					return nil, fmt.Errorf("bench: workload-obs warm %s: %w", t.Name, err)
+					return nil, fmt.Errorf("bench: workload-obs plain %s: %w", t.Name, err)
 				}
-				if obsSvc == observedSvc {
-					observe(res)
-				}
-			}
-		}
-		for _, t := range targets {
-			sys := storeOf(t.Name)
-			cell := WorkloadObsCell{System: t.Name, Executor: executor, Queries: len(texts)}
-			for _, text := range texts {
-				var plainMin, obsMin time.Duration
-				var set bool
-				for rep := 0; rep < opt.Reps; rep++ {
-					sys.Store.Clock().Reset()
-					h0 := time.Now()
-					plainRes, err := plainSvc.ExecText(ctx, text, t.Name)
-					plainHost := time.Since(h0)
-					if err != nil {
-						return nil, fmt.Errorf("bench: workload-obs plain %s: %w", t.Name, err)
-					}
-					plainReal, plainUser := sys.Store.Clock().Real(), sys.Store.Clock().User()
+				plainReal, plainUser := sys.Store.Clock().Real(), sys.Store.Clock().User()
 
-					sys.Store.Clock().Reset()
-					h0 = time.Now()
-					obsRes, err := obsSvc.ExecText(ctx, text, t.Name)
-					obsHost := time.Since(h0)
-					if err != nil {
-						return nil, fmt.Errorf("bench: workload-obs observed %s: %w", t.Name, err)
-					}
-					obsReal, obsUser := sys.Store.Clock().Real(), sys.Store.Clock().User()
-					if obsSvc == observedSvc {
-						observe(obsRes)
-					}
-
-					if fmt.Sprint(plainRes.Rows) != fmt.Sprint(obsRes.Rows) {
-						return nil, fmt.Errorf("bench: workload-obs: %s (%s): observed result not byte-identical for %q", t.Name, executor, text)
-					}
-					if plainReal != obsReal || plainUser != obsUser {
-						return nil, fmt.Errorf("bench: workload-obs: %s (%s): observed charges (real %v, user %v) differ from plain (real %v, user %v) for %q",
-							t.Name, executor, obsReal, obsUser, plainReal, plainUser, text)
-					}
-					if !set || plainHost < plainMin {
-						plainMin = plainHost
-					}
-					if !set || obsHost < obsMin {
-						obsMin = obsHost
-					}
-					set = true
+				sys.Store.Clock().Reset()
+				h0 = time.Now()
+				obsRes, err := observedSvc.ExecText(ctx, text, t.Name)
+				obsHost := time.Since(h0)
+				if err != nil {
+					return nil, fmt.Errorf("bench: workload-obs observed %s: %w", t.Name, err)
 				}
-				cell.PlainMs += float64(plainMin.Microseconds()) / 1e3
-				cell.ObservedMs += float64(obsMin.Microseconds()) / 1e3
-				sumPlain += plainMin
-				sumObserved += obsMin
+				obsReal, obsUser := sys.Store.Clock().Real(), sys.Store.Clock().User()
+				observe(obsRes)
+
+				if fmt.Sprint(plainRes.Rows) != fmt.Sprint(obsRes.Rows) {
+					return nil, fmt.Errorf("bench: workload-obs: %s: observed result not byte-identical for %q", t.Name, text)
+				}
+				if plainReal != obsReal || plainUser != obsUser {
+					return nil, fmt.Errorf("bench: workload-obs: %s: observed charges (real %v, user %v) differ from plain (real %v, user %v) for %q",
+						t.Name, obsReal, obsUser, plainReal, plainUser, text)
+				}
+				if !set || plainHost < plainMin {
+					plainMin = plainHost
+				}
+				if !set || obsHost < obsMin {
+					obsMin = obsHost
+				}
+				set = true
 			}
-			if cell.PlainMs > 0 {
-				cell.Ratio = cell.ObservedMs / cell.PlainMs
-			}
-			report.Cells = append(report.Cells, cell)
+			cell.PlainMs += float64(plainMin.Microseconds()) / 1e3
+			cell.ObservedMs += float64(obsMin.Microseconds()) / 1e3
+			sumPlain += plainMin
+			sumObserved += obsMin
 		}
+		if cell.PlainMs > 0 {
+			cell.Ratio = cell.ObservedMs / cell.PlainMs
+		}
+		report.Cells = append(report.Cells, cell)
 	}
 	if sumPlain > 0 {
 		report.OverheadRatio = float64(sumObserved) / float64(sumPlain)
 	}
 
-	// The quantile check runs against the first observed service only (the
-	// one whose executions were all recorded into exact).
+	// Every execution of the observed service was recorded into exact.
 	ws := observedSvc.Workload(serve.WorkloadQuery{Limit: -1})
 	if ws == nil {
 		return nil, fmt.Errorf("bench: workload-obs: registry unexpectedly disabled")
@@ -310,9 +286,9 @@ func FormatWorkloadObs(r *WorkloadObsReport) string {
 	fmt.Fprintf(&b, "quantiles verified: %d within eps=%g; q-error aggregates: %d operators\n",
 		r.QuantileChecks, r.Epsilon, r.QErrorOps)
 	fmt.Fprintf(&b, "registry host overhead: %.3fx (guard: 1.10)\n\n", r.OverheadRatio)
-	fmt.Fprintf(&b, "%-18s %-13s %10s %10s %8s\n", "system", "executor", "plain ms", "observed ms", "ratio")
+	fmt.Fprintf(&b, "%-18s %10s %10s %8s\n", "system", "plain ms", "observed ms", "ratio")
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "%-18s %-13s %10.3f %10.3f %7.3fx\n", c.System, c.Executor, c.PlainMs, c.ObservedMs, c.Ratio)
+		fmt.Fprintf(&b, "%-18s %10.3f %10.3f %7.3fx\n", c.System, c.PlainMs, c.ObservedMs, c.Ratio)
 	}
 	return b.String()
 }

@@ -18,7 +18,7 @@ import (
 // the four base schemes wrapped in a DeltaOverlay, and the four schemes
 // rebuilt from scratch over the folded graph (same dictionary). For ≥200
 // generated full-language queries per scheme, the overlay must be
-// byte-identical to the rebuild on every scheme under both executors, and
+// byte-identical to the rebuild on every scheme at two batch sizes, and
 // the rebuild must agree with the bgp.EvalBGP oracle. The acceptance bar
 // of delta ingest: an overlaid snapshot is indistinguishable from one
 // built by reloading.
@@ -190,8 +190,8 @@ func hasUnboundProp(q *bgp.Query) bool {
 // generated full-language queries (the generator's default mixture —
 // stars, chains, snowflakes, OPTIONAL, range FILTER, ORDER BY/LIMIT,
 // DISTINCT) produce byte-identical results on overlay and rebuilt sources
-// for every scheme, under both the materializing and the streaming
-// executor (BatchRows 5 — small batches cross delta run boundaries), and
+// for every scheme, at the default batch size and at BatchRows 5 (small
+// batches cross delta run boundaries), and
 // the rebuilt reference matches the independent oracle. The one carve-out:
 // an unordered query with an unbound-property pattern compares as a bag,
 // because the unbound-property scan's row order is contractless on the
@@ -201,7 +201,7 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 	t.Logf("delta: %d adds, %d dels over %d merged triples", f.adds, f.dels, len(f.merged.Triples))
 	gen := bgp.NewGenerator(f.merged, bgp.GenConfig{Seed: 505})
 	const corpus = 200
-	nonEmpty, streamed, exact := 0, 0, 0
+	nonEmpty, small, exact := 0, 0, 0
 	for i := 0; i < corpus; i++ {
 		q, _ := gen.Query(i)
 		compiled, err := bgp.Compile(q, f.merged.Dict, f.est)
@@ -210,8 +210,8 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 		}
 		opts := core.ExecOptions{}
 		if i%2 == 1 {
-			opts = core.ExecOptions{Streaming: true, BatchRows: 5}
-			streamed++
+			opts = core.ExecOptions{BatchRows: 5}
+			small++
 		}
 		ordered := len(q.OrderBy) > 0
 		byteExact := ordered || !hasUnboundProp(q)
@@ -277,13 +277,13 @@ func TestPropertyOverlayMatchesRebuild(t *testing.T) {
 	if nonEmpty == 0 {
 		t.Error("every query returned empty — the property is vacuous")
 	}
-	if streamed == 0 || streamed == corpus {
-		t.Errorf("executor rotation broken: %d/%d streamed", streamed, corpus)
+	if small == 0 || small == corpus {
+		t.Errorf("batch-size rotation broken: %d/%d at batch 5", small, corpus)
 	}
 	if exact < corpus/2 {
 		t.Errorf("only %d/%d queries compared byte-exactly — the identity property is diluted", exact, corpus)
 	}
-	t.Logf("overlay parity: %d checked, %d non-empty, %d streamed, %d byte-exact", corpus, nonEmpty, streamed, exact)
+	t.Logf("overlay parity: %d checked, %d non-empty, %d at batch 5, %d byte-exact", corpus, nonEmpty, small, exact)
 }
 
 // TestPropertyOverlayTouchesDelta guards the corpus against vacuity from
@@ -300,7 +300,7 @@ func TestPropertyOverlayTouchesDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range f.names {
-		for _, opts := range []core.ExecOptions{{}, {Streaming: true, BatchRows: 5}} {
+		for _, opts := range []core.ExecOptions{{}, {BatchRows: 5}} {
 			got, _, _, err := core.ExecutePlan(f.over[name], compiled.Root, opts)
 			if err != nil {
 				t.Fatalf("overlay %s: %v", name, err)

@@ -190,105 +190,6 @@ func TestFetch(t *testing.T) {
 	}
 }
 
-func TestHashJoinAndMergeJoinAgree(t *testing.T) {
-	e := newEngine()
-	rng := rand.New(rand.NewSource(6))
-	l := make([]uint64, 400)
-	r := make([]uint64, 300)
-	for i := range l {
-		l[i] = uint64(rng.Intn(40))
-	}
-	for i := range r {
-		r[i] = uint64(rng.Intn(40))
-	}
-	sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-	sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
-	hl, hr := e.HashJoin(l, r)
-	ml, mr := e.MergeJoin(l, r)
-	if len(hl) != len(ml) || len(hr) != len(mr) {
-		t.Fatalf("join sizes differ: hash %d, merge %d", len(hl), len(ml))
-	}
-	// Pair sets must agree.
-	pairs := func(a, b []int32) map[[2]int32]int {
-		m := map[[2]int32]int{}
-		for i := range a {
-			m[[2]int32{a[i], b[i]}]++
-		}
-		return m
-	}
-	hp, mp := pairs(hl, hr), pairs(ml, mr)
-	for k, n := range hp {
-		if mp[k] != n {
-			t.Fatalf("pair %v: hash %d, merge %d", k, n, mp[k])
-		}
-	}
-	// Join correctness: every pair matches.
-	for i := range hl {
-		if l[hl[i]] != r[hr[i]] {
-			t.Fatalf("pair %d joins %d with %d", i, l[hl[i]], r[hr[i]])
-		}
-	}
-}
-
-func TestSemiJoinAndBuildSet(t *testing.T) {
-	e := newEngine()
-	set := e.BuildSet([]uint64{5, 7})
-	pos := e.SemiJoin([]uint64{1, 5, 7, 5, 9}, set)
-	if len(pos) != 3 {
-		t.Fatalf("SemiJoin = %v", pos)
-	}
-}
-
-func TestGroupCount(t *testing.T) {
-	e := newEngine()
-	g := e.GroupCount([]uint64{1, 1, 2})
-	want := rel.New(2)
-	want.Append(1, 2)
-	want.Append(2, 1)
-	if !rel.Equal(g, want) {
-		t.Fatalf("GroupCount = %v", g)
-	}
-	g2 := e.GroupCount([]uint64{1, 1, 2}, []uint64{7, 7, 8})
-	if g2.Len() != 2 || g2.W != 3 {
-		t.Fatalf("GroupCount/2 = %v", g2)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("3-key GroupCount did not panic")
-			}
-		}()
-		e.GroupCount(nil, nil, nil)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ragged GroupCount did not panic")
-			}
-		}()
-		e.GroupCount([]uint64{1}, []uint64{1, 2})
-	}()
-}
-
-func TestUnionDistinct(t *testing.T) {
-	e := newEngine()
-	u := e.Union([]uint64{1, 2}, []uint64{2, 3}, nil)
-	if len(u) != 4 {
-		t.Fatalf("Union = %v", u)
-	}
-	d := e.Distinct(u)
-	if len(d) != 3 {
-		t.Fatalf("Distinct = %v", d)
-	}
-	r := rel.New(2)
-	r.Append(1, 2)
-	r.Append(1, 2)
-	r.Append(3, 4)
-	if got := e.DistinctRows(r); got.Len() != 2 {
-		t.Fatalf("DistinctRows = %v", got)
-	}
-}
-
 func TestGather(t *testing.T) {
 	e := newEngine()
 	base := []int32{10, 20, 30}
@@ -350,22 +251,6 @@ func TestPageAtATimeIsSlower(t *testing.T) {
 	bulkB := eBulkB.Store.Clock().IO()
 	if ratio := float64(bulk) / float64(bulkB); ratio < 2.0 {
 		t.Fatalf("bulk read improved only %.2fx on machine B", ratio)
-	}
-}
-
-func TestOpsChargeCPU(t *testing.T) {
-	e := newEngine()
-	rows := sortedPairs(10_000, 9)
-	tb, _ := e.CreateTable("t", rows, true)
-	e.Store.Clock().Reset()
-	v := e.FetchAll(tb.Cols[1])
-	if e.Store.Clock().User() == 0 {
-		t.Fatal("FetchAll charged no CPU")
-	}
-	before := e.Store.Clock().User()
-	e.GroupCount(v)
-	if e.Store.Clock().User() <= before {
-		t.Fatal("GroupCount charged no CPU")
 	}
 }
 

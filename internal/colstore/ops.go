@@ -1,9 +1,5 @@
 package colstore
 
-import (
-	"blackswan/internal/rel"
-)
-
 // SelectEq returns the positions where c equals v, as a sorted position
 // list. On a sorted column it binary-searches and touches only the
 // qualifying byte range; otherwise it scans the whole column.
@@ -38,50 +34,6 @@ func (e *Engine) SelectRange(c *Column, v uint64) (int, int) {
 	e.node()
 	e.Store.ChargeCPU(e.Costs.BinarySearch)
 	return c.bounds(v)
-}
-
-// SelectNe returns the positions where c differs from v (full-column scan;
-// inequality cannot exploit sortedness the way equality can).
-func (e *Engine) SelectNe(c *Column, v uint64) []int32 {
-	e.node()
-	c.touchAll()
-	e.Store.ChargeCPU(int64(len(c.vals)) * e.Costs.SelectValue)
-	var out []int32
-	for i, x := range c.vals {
-		if x != v {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-// FilterVecNe keeps the values of a materialized vector that differ from v.
-func (e *Engine) FilterVecNe(vals []uint64, v uint64) []uint64 {
-	e.node()
-	e.Store.ChargeCPU(int64(len(vals)) * e.Costs.SelectValue)
-	out := make([]uint64, 0, len(vals))
-	for _, x := range vals {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// HavingGT keeps rows of r whose col value exceeds min — the HAVING clause
-// applied to a grouped result.
-func (e *Engine) HavingGT(r *rel.Rel, col int, min uint64) *rel.Rel {
-	e.node()
-	e.Store.ChargeCPU(int64(r.Len()) * e.Costs.SelectValue)
-	out := rel.New(r.W)
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		row := r.Row(i)
-		if row[col] > min {
-			out.Data = append(out.Data, row...)
-		}
-	}
-	return out
 }
 
 // SelectEqAt refines a candidate list: positions in cand where c equals v.
@@ -139,181 +91,6 @@ func (e *Engine) FetchAll(c *Column) []uint64 {
 	e.Store.ChargeCPU(int64(len(c.vals)) * e.Costs.FetchValue)
 	out := make([]uint64, len(c.vals))
 	copy(out, c.vals)
-	return out
-}
-
-// HashJoin joins two key vectors, returning matching position pairs.
-// The smaller side builds.
-func (e *Engine) HashJoin(l, r []uint64) (lpos, rpos []int32) {
-	e.node()
-	if len(l) > len(r) {
-		rp, lp := e.HashJoin(r, l)
-		return lp, rp
-	}
-	ht := make(map[uint64][]int32, len(l))
-	for i, v := range l {
-		ht[v] = append(ht[v], int32(i))
-	}
-	e.Store.ChargeCPU(int64(len(l)) * e.Costs.HashBuild)
-	e.Store.ChargeCPU(int64(len(r)) * e.Costs.HashProbe)
-	for j, v := range r {
-		for _, i := range ht[v] {
-			lpos = append(lpos, i)
-			rpos = append(rpos, int32(j))
-		}
-	}
-	return lpos, rpos
-}
-
-// MergeJoin joins two ascending key vectors with a linear merge — the fast
-// join vertically-partitioned tables get on subject-subject joins.
-func (e *Engine) MergeJoin(l, r []uint64) (lpos, rpos []int32) {
-	e.node()
-	e.Store.ChargeCPU(int64(len(l)+len(r)) * e.Costs.SelectValue)
-	i, j := 0, 0
-	for i < len(l) && j < len(r) {
-		switch {
-		case l[i] < r[j]:
-			i++
-		case l[i] > r[j]:
-			j++
-		default:
-			v := l[i]
-			je := j
-			for je < len(r) && r[je] == v {
-				je++
-			}
-			for ; i < len(l) && l[i] == v; i++ {
-				for k := j; k < je; k++ {
-					lpos = append(lpos, int32(i))
-					rpos = append(rpos, int32(k))
-				}
-			}
-			j = je
-		}
-	}
-	return lpos, rpos
-}
-
-// SemiJoin returns the positions in keys whose value appears in probe.
-func (e *Engine) SemiJoin(keys []uint64, probe map[uint64]bool) []int32 {
-	e.node()
-	e.Store.ChargeCPU(int64(len(keys)) * e.Costs.HashProbe)
-	var out []int32
-	for i, v := range keys {
-		if probe[v] {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-// BuildSet hashes a vector into a set (the build side of semijoins).
-func (e *Engine) BuildSet(vals []uint64) map[uint64]bool {
-	e.node()
-	e.Store.ChargeCPU(int64(len(vals)) * e.Costs.HashBuild)
-	set := make(map[uint64]bool, len(vals))
-	for _, v := range vals {
-		set[v] = true
-	}
-	return set
-}
-
-// GroupCount groups parallel key vectors (1 or 2) and returns keys+count
-// rows, sorted for determinism.
-func (e *Engine) GroupCount(keys ...[]uint64) *rel.Rel {
-	return e.GroupCountPar(1, keys...)
-}
-
-// GroupCountPar is GroupCount with the counting chunked over workers
-// goroutines. The charges are identical — simulated times model the
-// paper's single-threaded systems — and the chunk tallies merge by
-// summation before the sort, so the output is byte-identical to the
-// sequential operator.
-func (e *Engine) GroupCountPar(workers int, keys ...[]uint64) *rel.Rel {
-	e.node()
-	switch len(keys) {
-	case 1:
-		e.Store.ChargeCPU(int64(len(keys[0])) * e.Costs.GroupValue)
-		counts := rel.CountGroups(len(keys[0]), workers, func(i int) [2]uint64 {
-			return [2]uint64{keys[0][i]}
-		})
-		out := rel.New(2)
-		for k, n := range counts {
-			out.Append(k[0], n)
-		}
-		out.Sort()
-		return out
-	case 2:
-		if len(keys[0]) != len(keys[1]) {
-			panic("colstore: GroupCount key vectors differ in length")
-		}
-		e.Store.ChargeCPU(int64(len(keys[0])) * 2 * e.Costs.GroupValue)
-		counts := rel.CountGroups(len(keys[0]), workers, func(i int) [2]uint64 {
-			return [2]uint64{keys[0][i], keys[1][i]}
-		})
-		out := rel.New(3)
-		for k, n := range counts {
-			out.Append(k[0], k[1], n)
-		}
-		out.Sort()
-		return out
-	default:
-		panic("colstore: GroupCount supports 1 or 2 key vectors")
-	}
-}
-
-// Union concatenates value vectors, charging per moved value.
-func (e *Engine) Union(vecs ...[]uint64) []uint64 {
-	e.node()
-	var total int
-	for _, v := range vecs {
-		total += len(v)
-	}
-	e.Store.ChargeCPU(int64(total) * e.Costs.UnionValue)
-	out := make([]uint64, 0, total)
-	for _, v := range vecs {
-		out = append(out, v...)
-	}
-	return out
-}
-
-// Distinct removes duplicates from a vector (SQL UNION's set semantics,
-// "the union operator must also perform a duplicate elimination").
-func (e *Engine) Distinct(vals []uint64) []uint64 {
-	e.node()
-	e.Store.ChargeCPU(int64(len(vals)) * e.Costs.DistinctValue)
-	seen := make(map[uint64]bool, len(vals))
-	out := make([]uint64, 0, len(vals))
-	for _, v := range vals {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// DistinctRows removes duplicate rows from a relation of width ≤ 3.
-func (e *Engine) DistinctRows(r *rel.Rel) *rel.Rel {
-	e.node()
-	if r.W > 3 {
-		panic("colstore: DistinctRows supports width <= 3")
-	}
-	e.Store.ChargeCPU(int64(r.Len()) * e.Costs.DistinctValue)
-	type key [3]uint64
-	seen := make(map[key]bool, r.Len())
-	out := rel.New(r.W)
-	n := r.Len()
-	for i := 0; i < n; i++ {
-		row := r.Row(i)
-		var k key
-		copy(k[:], row)
-		if !seen[k] {
-			seen[k] = true
-			out.Data = append(out.Data, row...)
-		}
-	}
 	return out
 }
 

@@ -2,42 +2,51 @@ package colstore
 
 import "blackswan/internal/rel"
 
-// This file is the column store's side of the streaming executor contract
-// (core.StreamOps / core.StreamSource). The shared streaming operators in
-// internal/core charge per-row rates through the Relational adapter, and
-// the scheme sources stream column ranges through ColReader, which issues
+// This file is the column store's side of the executor contract
+// (core.PhysicalOps / core.StreamSource). The shared operators in
+// internal/core charge through the Relational adapter: each method is
+// called once per operator with its total row count and issues the same
+// accounting calls as the adapter's vector decomposition of that operator
+// (key extraction, then the hash/merge/group primitive, then the
+// materialization), because simulated CPU is scaled and rounded per call.
+// Bounded scans stream column ranges through ColReader, which issues
 // read-ahead-sized I/O requests so batch-at-a-time access does not
 // degenerate into page-at-a-time request overhead.
 
-// StreamNode charges one operator dispatch, as node() does for every
-// materializing operator.
+// StreamNode charges one operator dispatch.
 func (r Relational) StreamNode() { r.E.node() }
 
-// StreamScanRows charges n selection tests.
-func (r Relational) StreamScanRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * r.E.Costs.SelectValue)
-}
-
-// StreamFilterRows charges n selection tests (the adapter's filters run one
-// test per row regardless of width).
+// StreamFilterRows charges n selection tests (one test per row regardless
+// of width).
 func (r Relational) StreamFilterRows(n, w int) {
 	r.E.Store.ChargeCPU(int64(n) * r.E.Costs.SelectValue)
 }
 
-// StreamHashBuildRows charges extracting n key values plus n hash inserts —
-// the adapter's key() + HashJoin build decomposition.
+// StreamHashBuildRows charges extracting n key values, then n hash inserts.
 func (r Relational) StreamHashBuildRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * (r.E.Costs.FetchValue + r.E.Costs.HashBuild))
+	r.E.ChargeFetch(n)
+	r.E.Store.ChargeCPU(int64(n) * r.E.Costs.HashBuild)
 }
 
-// StreamHashProbeRows charges extracting n key values plus n hash probes.
+// StreamHashProbeRows charges extracting n key values, then n hash probes.
 func (r Relational) StreamHashProbeRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * (r.E.Costs.FetchValue + r.E.Costs.HashProbe))
+	r.E.ChargeFetch(n)
+	r.E.Store.ChargeCPU(int64(n) * r.E.Costs.HashProbe)
 }
 
-// StreamMergeRows charges extracting n key values plus n merge steps.
-func (r Relational) StreamMergeRows(n, w int) {
-	r.E.Store.ChargeCPU(int64(n) * (r.E.Costs.FetchValue + r.E.Costs.SelectValue))
+// StreamMergeRows charges extracting both inputs' key vectors, then one
+// linear merge over nl+nr values.
+func (r Relational) StreamMergeRows(nl, nr int) {
+	r.E.ChargeFetch(nl)
+	r.E.ChargeFetch(nr)
+	r.E.Store.ChargeCPU(int64(nl+nr) * r.E.Costs.SelectValue)
+}
+
+// StreamUnionNode charges a binary union as the vector engine runs it: a
+// two-part union-all, one operator dispatch per input.
+func (r Relational) StreamUnionNode() {
+	r.E.node()
+	r.E.node()
 }
 
 // StreamUnionRows charges moving n rows of width w through a union,
@@ -47,8 +56,7 @@ func (r Relational) StreamUnionRows(n, w int) {
 }
 
 // StreamDistinctRows charges deduplicating n rows: narrow rows use the
-// vector engine's fixed-key path, wider rows hash value by value, matching
-// the materializing Distinct split.
+// vector engine's fixed-key path, wider rows hash value by value.
 func (r Relational) StreamDistinctRows(n, w int) {
 	if w <= 3 {
 		r.E.Store.ChargeCPU(int64(n) * r.E.Costs.DistinctValue)
@@ -63,15 +71,18 @@ func (r Relational) StreamRestrictRows(n, w int) {
 	r.E.Store.ChargeCPU(int64(n) * r.E.Costs.SelectValue)
 }
 
-// StreamGroupRows charges aggregating n rows under `keys` grouping columns:
-// one key extraction plus one group-table update per key value, matching the
-// adapter's key() + GroupCountPar decomposition.
+// StreamGroupRows charges aggregating n rows under keys grouping columns:
+// one key-vector extraction per grouping column, then one group-table
+// update per key value.
 func (r Relational) StreamGroupRows(n, keys int) {
-	r.E.Store.ChargeCPU(int64(n) * int64(keys) * (r.E.Costs.FetchValue + r.E.Costs.GroupValue))
+	for k := 0; k < keys; k++ {
+		r.E.ChargeFetch(n)
+	}
+	r.E.Store.ChargeCPU(int64(n) * int64(keys) * r.E.Costs.GroupValue)
 }
 
-// StreamJoinEmitRows charges materializing n join output rows of width w,
-// one positional fetch per value — the adapter's materialize() rate.
+// StreamJoinEmitRows charges assembling n join output rows of width w,
+// one positional fetch per value.
 func (r Relational) StreamJoinEmitRows(n, w int) {
 	r.E.Store.ChargeCPU(int64(n) * int64(w) * r.E.Costs.FetchValue)
 }
@@ -82,7 +93,7 @@ func (r Relational) StreamEmitRows(n, w int) {
 	r.E.Store.ChargeCPU(int64(n) * int64(w) * r.E.Costs.FetchValue)
 }
 
-// StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).
+// StreamSortCompares charges n sort comparisons (bounded-heap TopN).
 func (r Relational) StreamSortCompares(n int64) {
 	r.E.Store.ChargeCPU(n * r.E.Costs.SortValue)
 }
@@ -90,9 +101,6 @@ func (r Relational) StreamSortCompares(n int64) {
 // ChargeNode exposes the operator-dispatch charge to streaming scan
 // openers assembled outside the package.
 func (e *Engine) ChargeNode() { e.node() }
-
-// ChargeBinarySearch exposes the sorted-column lookup charge.
-func (e *Engine) ChargeBinarySearch() { e.Store.ChargeCPU(e.Costs.BinarySearch) }
 
 // ChargeSelect charges n selection tests.
 func (e *Engine) ChargeSelect(n int) { e.Store.ChargeCPU(int64(n) * e.Costs.SelectValue) }
@@ -102,16 +110,17 @@ func (e *Engine) ChargeFetch(n int) { e.Store.ChargeCPU(int64(n) * e.Costs.Fetch
 
 // streamReadAheadBytes is how much of a column one streaming I/O request
 // covers. Batch-at-a-time pulls would otherwise issue near-page-sized
-// requests and pay per-request overhead hundreds of times where the
-// materializing path pays it once; a read-ahead window keeps streaming
-// request counts within a small constant of the bulk read, mirroring the
-// row store's 32-leaf index read-ahead.
+// requests and pay per-request overhead hundreds of times where the bulk
+// scan pays it once; a read-ahead window keeps streaming request counts
+// within a small constant of the bulk read, mirroring the row store's
+// 32-leaf index read-ahead. Only scans below a LIMIT stream; drained scans
+// read their range in one request.
 const streamReadAheadBytes = 256 << 10
 
 // ColReader streams the I/O of one contiguous value range [lo, hi) of a
 // column. Ensure extends the requested region monotonically in read-ahead
 // windows; a reader that is dropped early simply never requests the tail,
-// which is the streaming executor's I/O saving.
+// which is a LIMIT plan's I/O saving.
 type ColReader struct {
 	c      *Column
 	hi     int
@@ -163,7 +172,7 @@ type EqCond struct {
 
 // StreamCol describes one output column of a streaming scan: a real column
 // to fetch, or a constant to fill (bound pattern positions cost nothing, as
-// in the materializing access path's constant fill). A zero StreamCol emits
+// in the bulk scan's constant fill). A zero StreamCol emits
 // the constant 0 (an un-needed position).
 type StreamCol struct {
 	C     *Column

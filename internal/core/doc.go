@@ -7,23 +7,22 @@
 // the SQL text generator that plays the role of the authors' Perl script.
 //
 // Queries execute through the declarative plan layer: PlanFor declares each
-// query once as a logical operator DAG and a shared executor lowers it onto
-// any scheme from its physical properties (PhysicalSource). Two executors
-// share that lowering:
+// query once as a logical operator DAG, and one executor lowers it onto any
+// scheme from its physical properties (PhysicalSource). The executor
+// (stream.go) pulls fixed-size row batches through iterator pipelines with
+// no materialization barriers except hash builds, grouping, full sorts and
+// shared subexpressions; each engine supplies only the cost of every
+// operator class (PhysicalOps). A fully drained plan reads each scan range
+// with the scheme's bulk scan and charges exactly what the engines'
+// operator-at-a-time operators charged — the paper tables depend on it, and
+// the golden grid in internal/bench pins it. Below a LIMIT, and below the
+// bounded-heap TopN (n·⌈log₂ k⌉ comparisons), scans stream through
+// read-ahead windows and early termination reaches the physical scans, so
+// bounded queries stop paying simulated I/O and hold only a few batches of
+// intermediate state (Trace.PeakBytes).
 //
-//   - the materializing executor (exec.go) evaluates operator-at-a-time,
-//     one memoized relation per plan node — the reference for results and
-//     for fully-drained simulated charges;
-//   - the streaming executor (stream.go, ExecOptions{Streaming: true})
-//     pulls fixed-size row batches through iterator pipelines with no
-//     materialization barriers except hash builds, grouping and full
-//     sorts. LIMIT and the bounded-heap TopN (n·⌈log₂ k⌉ comparisons)
-//     propagate early termination into the physical scans, so bounded
-//     queries stop paying simulated I/O and hold only a few batches of
-//     intermediate state (Trace.PeakBytes).
-//
-// The two executors produce byte-identical results — including row order —
-// on every scheme; the serving layer streams by default. ExecutePlanCtx
-// checks cancellation at batch boundaries, and ExecOptions.Workers fans
-// partitioned scans over a worker pool with deterministic charge totals.
+// Results are byte-identical — including row order — at every batch size
+// and worker count. ExecutePlanCtx checks cancellation at batch boundaries,
+// and ExecOptions.Workers fans partitioned scans over a worker pool with
+// deterministic charge totals.
 package core

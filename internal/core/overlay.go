@@ -144,9 +144,11 @@ func maskModeOf(src PhysicalSource) maskMode {
 }
 
 // DeltaOverlay layers a Delta over a loaded scheme, implementing the same
-// physical interfaces (PhysicalSource and StreamSource) so the executor —
-// and the serving layer's snapshot targets — cannot tell an overlay from a
-// rebuilt scheme. Reads are wait-free: both halves are immutable.
+// PhysicalSource interface so the executor — and the serving layer's
+// snapshot targets — cannot tell an overlay from a rebuilt scheme's
+// results. Reads are wait-free: both halves are immutable. The overlay has
+// no windowed StreamSource form: a scan below a LIMIT reads the merged
+// range whole, as a drained scan does.
 type DeltaOverlay struct {
 	base PhysicalSource
 	d    *Delta
@@ -348,200 +350,3 @@ func (o *DeltaOverlay) Match(s, p, obj rdf.ID) *rel.Rel {
 	}
 	return out
 }
-
-// ---- streaming ----
-
-// baseStreamProp returns the base's pull iterator for p with all columns
-// real, falling back to a materialize-then-chunk wrapper when the base
-// does not implement StreamSource.
-func (o *DeltaOverlay) baseStreamProp(p, s, obj rdf.ID, batch int) (RelIter, error) {
-	if ss, ok := o.base.(StreamSource); ok {
-		return ss.StreamProp(p, s, obj, AllScanCols(), batch)
-	}
-	r, err := o.base.ScanProp(p, s, obj, AllScanCols())
-	if err != nil {
-		return nil, err
-	}
-	return &chunkRelIter{rel: r, batch: batch}, nil
-}
-
-// StreamProp implements StreamSource: the same merged, masked rows as
-// ScanProp, delivered batch by batch. The base iterator is pulled lazily,
-// so early termination (TopN, LIMIT) stops the underlying scan.
-func (o *DeltaOverlay) StreamProp(p, s, obj rdf.ID, need ScanCols, batchRows int) (RelIter, error) {
-	if batchRows <= 0 {
-		batchRows = DefaultBatchRows
-	}
-	if !o.d.live[p] && o.base.Partitioned() {
-		return nil, fmt.Errorf("core: property %d not loaded in %s", p, o.Label())
-	}
-	adds := o.addsForProp(p, s, obj)
-	base, err := o.baseStreamProp(p, s, obj, batchRows)
-	if err != nil {
-		base = &chunkRelIter{rel: rel.New(2), batch: batchRows}
-	}
-	return &overlayPropIter{o: o, p: p, base: base, adds: adds, need: need, batch: batchRows}, nil
-}
-
-// StreamTriples implements StreamSource: the base stream minus tombstones,
-// then the additions, masked per the base's mode.
-func (o *DeltaOverlay) StreamTriples(s, obj rdf.ID, need ScanCols, batchRows int) RelIter {
-	if batchRows <= 0 {
-		batchRows = DefaultBatchRows
-	}
-	var base RelIter
-	if ss, ok := o.base.(StreamSource); ok {
-		base = ss.StreamTriples(s, obj, AllScanCols(), batchRows)
-	} else {
-		base = &chunkRelIter{rel: o.base.ScanTriples(s, obj, AllScanCols()), batch: batchRows}
-	}
-	var adds *rel.Rel
-	if len(o.d.adds) > 0 {
-		adds = rel.New(3)
-		for _, t := range o.d.adds {
-			if (s == rdf.NoID || t.S == s) && (obj == rdf.NoID || t.O == obj) {
-				adds.Data = append(adds.Data, uint64(t.S), uint64(t.P), uint64(t.O))
-			}
-		}
-	}
-	return &overlayTripleIter{o: o, base: base, adds: adds, need: need, batch: batchRows}
-}
-
-// overlayPropIter merges a tombstone-filtered base property stream with
-// the (already (s, o)-ordered) additions, one batch at a time.
-type overlayPropIter struct {
-	o     *DeltaOverlay
-	p     rdf.ID
-	base  RelIter
-	buf   *rel.Rel // current base batch (real values)
-	bi    int
-	done  bool // base exhausted
-	adds  [][2]uint64
-	ai    int
-	need  ScanCols
-	batch int
-}
-
-// nextBase returns the next live (non-tombstoned) base row, pulling new
-// batches as needed; ok is false once the base is exhausted.
-func (it *overlayPropIter) nextBase() (row [2]uint64, ok bool, err error) {
-	for {
-		if it.buf == nil || it.bi >= it.buf.Len() {
-			if it.done {
-				return row, false, nil
-			}
-			b, err := it.base.Next()
-			if err != nil {
-				return row, false, err
-			}
-			if b == nil || b.Len() == 0 {
-				it.done = b == nil
-				if b == nil {
-					return row, false, nil
-				}
-				continue
-			}
-			it.buf, it.bi = b, 0
-		}
-		r := it.buf.Row(it.bi)
-		it.bi++
-		if !it.o.d.deleted(rdf.Triple{S: rdf.ID(r[0]), P: it.p, O: rdf.ID(r[1])}) {
-			return [2]uint64{r[0], r[1]}, true, nil
-		}
-	}
-}
-
-func (it *overlayPropIter) Next() (*rel.Rel, error) {
-	out := rel.NewCap(2, it.batch)
-	// peeked holds a base row pulled but not yet emitted across the
-	// batch-fill loop.
-	var peeked *[2]uint64
-	for out.Len() < it.batch {
-		if peeked == nil {
-			r, ok, err := it.nextBase()
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				peeked = &r
-			}
-		}
-		if peeked == nil && it.ai >= len(it.adds) {
-			break
-		}
-		if peeked != nil && (it.ai >= len(it.adds) || peeked[0] < it.adds[it.ai][0] ||
-			(peeked[0] == it.adds[it.ai][0] && peeked[1] < it.adds[it.ai][1])) {
-			out.Data = append(out.Data, peeked[0], peeked[1])
-			peeked = nil
-			continue
-		}
-		out.Data = append(out.Data, it.adds[it.ai][0], it.adds[it.ai][1])
-		it.ai++
-	}
-	if peeked != nil {
-		// Push the unconsumed base row back for the next batch.
-		rest := rel.NewCap(2, 1+it.buf.Len()-it.bi)
-		rest.Data = append(rest.Data, peeked[0], peeked[1])
-		if it.buf != nil {
-			rest.Data = append(rest.Data, it.buf.Data[it.bi*2:]...)
-		}
-		it.buf, it.bi = rest, 0
-	}
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	return it.o.maskSORows(out, it.need), nil
-}
-
-func (it *overlayPropIter) Close() { it.base.Close() }
-
-// overlayTripleIter filters tombstones out of the base triple stream and
-// appends the additions once the base is exhausted.
-type overlayTripleIter struct {
-	o     *DeltaOverlay
-	base  RelIter
-	done  bool
-	adds  *rel.Rel // nil when no additions match
-	tail  *chunkRelIter
-	need  ScanCols
-	batch int
-}
-
-func (it *overlayTripleIter) Next() (*rel.Rel, error) {
-	for !it.done {
-		b, err := it.base.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			it.done = true
-			break
-		}
-		out := rel.NewCap(3, b.Len())
-		for i, n := 0, b.Len(); i < n; i++ {
-			row := b.Row(i)
-			if it.o.d.deleted(rdf.Triple{S: rdf.ID(row[0]), P: rdf.ID(row[1]), O: rdf.ID(row[2])}) {
-				continue
-			}
-			out.Data = append(out.Data, row[0], row[1], row[2])
-		}
-		if out.Len() > 0 {
-			return it.o.maskTripleRows(out, it.need), nil
-		}
-	}
-	if it.adds != nil && it.tail == nil {
-		it.tail = &chunkRelIter{rel: it.adds, batch: it.batch}
-	}
-	if it.tail != nil {
-		b, err := it.tail.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		// Copy before masking: the chunk aliases the shared adds slice.
-		out := &rel.Rel{W: 3, Data: append([]uint64(nil), b.Data...)}
-		return it.o.maskTripleRows(out, it.need), nil
-	}
-	return nil, nil
-}
-
-func (it *overlayTripleIter) Close() { it.base.Close() }

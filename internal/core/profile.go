@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the per-operator profile collector behind EXPLAIN ANALYZE:
-// with ExecOptions.Profile set, both executors record, for every plan node
-// they evaluate, the rows and batches it emitted, the simulated CPU and
+// with ExecOptions.Profile set, the executor records, for every plan node
+// it runs, the rows and batches it emitted, the simulated CPU and
 // I/O it charged, its host wall time, and the live intermediate-result
 // bytes observed at its batch boundaries. Collection is observation-only —
 // no operator output, row order, or simulated charge changes when
@@ -20,9 +20,8 @@ import (
 // per operator).
 //
 // Charge attribution works by differencing the engine's charge meter
-// around each operator frame (the recursive eval call in the materializing
-// executor, each next()/close() of the wrapping iterator in the streaming
-// one). Frames nest, so the recorded figures are inclusive of children;
+// around each operator frame (the node's build phase, then each
+// next()/close() of the wrapping iterator). Frames nest, so the recorded figures are inclusive of children;
 // finish() derives per-node self figures by subtracting each child once.
 // Attribution is exact when the plan runs single-goroutine (Workers <= 1,
 // the serving default); under the parallel fan-out, prefetch workers
@@ -53,13 +52,12 @@ type OpProfile struct {
 	// Note records a lowering decision the plan tree alone cannot show:
 	// "hash", "merge", "heap", "sort", "fused", "partitioned".
 	Note string
-	// Rows and Batches count the node's emitted output (Batches is 1 per
-	// materialized result, one per non-empty batch when streaming).
+	// Rows and Batches count the node's emitted output (one batch per
+	// non-empty emitted batch).
 	Rows    int
 	Batches int
 	// Start is the host-clock instant the executor opened this node's
-	// frame: the eval call in the materializing executor, the pipeline
-	// build in the streaming one (work then accrues at next() windows).
+	// frame at pipeline build (work then accrues at next() windows).
 	// With Host it lets the tracing layer bridge the profile tree into
 	// request-scoped spans without re-timing anything.
 	Start time.Time

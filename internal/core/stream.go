@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -11,68 +12,33 @@ import (
 	"blackswan/internal/rel"
 )
 
-// This file is the streaming executor: the same logical plans as exec.go,
-// lowered onto pull-based batched iterators instead of operator-at-a-time
-// materialization. Operators exchange fixed-size row batches, pipelines run
-// without materialization barriers (only hash builds, grouping and full
-// sorts buffer), and TopN/LIMIT propagate early termination upstream by
-// closing their inputs — which reaches all the way into the physical scans,
-// so a LIMIT-10 plan stops paying simulated I/O after ten rows.
+// This file is the executor: the logical plans of plan.go lowered onto
+// pull-based batched iterators. Operators exchange fixed-size row batches,
+// pipelines run without materialization barriers (only hash builds,
+// grouping, full sorts and shared subexpressions buffer), and TopN/LIMIT
+// propagate early termination upstream by closing their inputs — which
+// reaches all the way into the physical scans, so a LIMIT-10 plan stops
+// paying simulated I/O after ten rows.
 //
-// The contract with the materializing executor is result byte-identity:
-// every streaming operator replicates the materializing operator's output
-// row order exactly, so the concatenation of the emitted batches equals the
-// materializing result on every scheme. Simulated charges agree when a plan
-// is fully drained (the per-row rates below are the engines' own), and
-// deliberately diverge where the execution strategy genuinely differs: a
-// bounded-heap TopN charges n·ceil(log2 k) comparisons instead of a full
-// sort's n·ceil(log2 n), an early-terminated scan never pays for the leaves
-// and column ranges it did not read, and column I/O is requested in
-// read-ahead windows instead of one bulk range.
+// The drained-plan charge contract: unless a Limit or a bounded TopN sits
+// above it, every scan reads its whole range with the scheme's bulk scan
+// (one request per column range), every join drains both inputs, and every
+// operator charges its total row counts once, through the engine's
+// PhysicalOps, when it finishes. A fully drained plan therefore charges
+// exactly what the engines' operator-at-a-time operators charged, and at
+// the same points of the I/O timeline: an operator's charges follow its
+// inputs' I/O, as they did when each operator ran after its inputs were
+// complete (the Figure 5 read traces timestamp every physical read). The
+// golden paper grid (internal/bench/testdata) pins this cell by cell. Below
+// a LIMIT the executor instead streams scans through read-ahead windows
+// (StreamSource), lets joins stop pulling once their output is decided, and
+// charges only the work actually done. The bounded-heap TopN charges
+// n·ceil(log2 k) comparisons instead of a full sort's n·ceil(log2 n).
 
-// DefaultBatchRows is the streaming batch size when ExecOptions.BatchRows
-// is zero: large enough to amortize per-batch dispatch, small enough that a
+// DefaultBatchRows is the batch size when ExecOptions.BatchRows is zero:
+// large enough to amortize per-batch dispatch, small enough that a
 // pipeline's in-flight state stays a few tens of kilobytes per edge.
 const DefaultBatchRows = 1024
-
-// StreamOps is the per-row charge vocabulary an engine supplies to the
-// streaming operators. The operators themselves live here, engine-agnostic;
-// each call charges n rows (of width w, where the engine's cost model cares)
-// at the engine's own rate for that operator class, so a fully drained
-// streaming plan charges what the materializing operators would. An engine
-// whose PhysicalOps does not implement StreamOps silently falls back to the
-// materializing executor.
-type StreamOps interface {
-	// StreamNode charges one operator dispatch (plan-node startup).
-	StreamNode()
-	// StreamScanRows charges emitting n scanned rows of width w.
-	StreamScanRows(n, w int)
-	// StreamFilterRows charges n predicate evaluations over width-w rows.
-	StreamFilterRows(n, w int)
-	// StreamHashBuildRows charges inserting n rows into a join hash table.
-	StreamHashBuildRows(n, w int)
-	// StreamHashProbeRows charges probing n rows against a hash table.
-	StreamHashProbeRows(n, w int)
-	// StreamMergeRows charges advancing n rows through a merge join.
-	StreamMergeRows(n, w int)
-	// StreamUnionRows charges moving n rows of width w through a union.
-	StreamUnionRows(n, w int)
-	// StreamDistinctRows charges deduplicating n rows of width w.
-	StreamDistinctRows(n, w int)
-	// StreamRestrictRows charges testing n rows against the interesting-
-	// properties restriction (a hash semijoin on the row engine, a set
-	// filter on the column engine — each engine supplies its materializing
-	// operator's rate).
-	StreamRestrictRows(n, w int)
-	// StreamGroupRows charges aggregating n rows under keys grouping columns.
-	StreamGroupRows(n, keys int)
-	// StreamJoinEmitRows charges materializing n join output rows of width w.
-	StreamJoinEmitRows(n, w int)
-	// StreamEmitRows charges moving n finished rows into an output buffer.
-	StreamEmitRows(n, w int)
-	// StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).
-	StreamSortCompares(n int64)
-}
 
 // RelIter is the pull contract of a streaming physical scan: Next returns
 // the next non-empty batch or nil when exhausted; Close releases the scan
@@ -83,11 +49,11 @@ type RelIter interface {
 	Close()
 }
 
-// StreamSource is the optional scheme extension the streaming executor
-// prefers over ScanProp/ScanTriples: the same rows in the same order,
-// delivered batch by batch so consumers that stop early save the tail's
-// simulated I/O. Schemes that do not implement it still stream — their
-// scans materialize first and are re-chunked.
+// StreamSource is the optional scheme extension the executor uses below a
+// LIMIT: the same rows in the same order as ScanProp/ScanTriples, delivered
+// batch by batch so consumers that stop early save the tail's simulated
+// I/O. Schemes that do not implement it answer bounded scans with their
+// bulk scans.
 type StreamSource interface {
 	// StreamProp is the pull form of ScanProp (width-2 batches).
 	StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelIter, error)
@@ -157,16 +123,17 @@ func sortCompares(n int) int64 {
 	return int64(n) * ceilLog2(n)
 }
 
-// iter is one streaming operator: next returns the next non-empty batch or
-// nil at exhaustion; close terminates early and must propagate upstream.
-// Batches are immutable once emitted — consumers copy, never mutate.
+// iter is one operator: next returns the next non-empty batch or nil at
+// exhaustion; close terminates early and must propagate upstream. Batches
+// are immutable once emitted — consumers copy, never mutate.
 type iter interface {
 	next() (*rel.Rel, error)
 	close()
 }
 
 // stream is one pipeline edge: the iterator plus the schema bookkeeping the
-// build phase threads exactly as the materializing executor's batch struct.
+// build phase threads — column names, and the column the rows are known to
+// ascend on ("" when unordered), the property that licenses merge joins.
 type stream struct {
 	it     iter
 	cols   []string
@@ -182,81 +149,112 @@ func (s stream) col(name string) (int, error) {
 	return 0, fmt.Errorf("no column %q in %v", name, s.cols)
 }
 
-// streamer orchestrates one streaming execution. The counters are atomics
-// because prefetch workers update them concurrently with the main pipeline;
-// they fold into the Trace once the plan finishes.
-type streamer struct {
-	ex         *executor
-	sops       StreamOps
-	batch      int
+// memoRel is a shared subexpression's drained result, re-chunked for each
+// consumer.
+type memoRel struct {
+	rel    *rel.Rel
+	cols   []string
+	sorted string
+}
+
+// executor runs one plan. The counters are atomics because prefetch
+// workers update them concurrently with the main pipeline; they fold into
+// the Trace once the plan finishes.
+type executor struct {
+	ctx   context.Context
+	src   PhysicalSource
+	ops   PhysicalOps
+	opt   ExecOptions
+	batch int
+	tr    *Trace
+	memo  map[Node]*memoRel
+	req   map[Node]map[string]bool
+	uses  map[Node]int
+	mem   *memTracker
+	// prof is the EXPLAIN ANALYZE collector, nil unless opt.Profile.
+	prof *profiler
+
 	srcBatches atomic.Int64
 	partScans  atomic.Int64
 	unionParts atomic.Int64
 	parallel   atomic.Bool
 }
 
-// runStream executes root through the streaming operator set. The result is
-// the concatenation of the root iterator's batches — byte-identical to the
-// materializing executor's output.
-func (ex *executor) runStream(root Node, sops StreamOps) (*rel.Rel, []string, *Trace, error) {
-	batch := ex.opt.BatchRows
-	if batch <= 0 {
-		batch = DefaultBatchRows
-	}
-	st := &streamer{ex: ex, sops: sops, batch: batch}
-	s, err := st.build(root)
+// run executes root. The result is the concatenation of the root
+// iterator's batches.
+func (ex *executor) run(root Node) (*rel.Rel, []string, error) {
+	s, err := ex.build(root, false)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	out := rel.New(len(s.cols))
 	for {
 		b, err := s.it.next()
 		if err != nil {
 			s.it.close()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if b == nil {
 			break
 		}
 		out.Data = append(out.Data, b.Data...)
-		// The accumulating result is live memory, as the root memo entry is
-		// for the materializing executor.
+		// The accumulating result is live memory.
 		ex.mem.alloc(relBytes(b))
 	}
 	s.it.close()
-	ex.tr.Streamed = true
-	ex.tr.SourceBatches += int(st.srcBatches.Load())
-	ex.tr.PartitionScans += int(st.partScans.Load())
-	ex.tr.UnionParts += int(st.unionParts.Load())
-	if st.parallel.Load() {
+	ex.tr.SourceBatches += int(ex.srcBatches.Load())
+	ex.tr.PartitionScans += int(ex.partScans.Load())
+	ex.tr.UnionParts += int(ex.unionParts.Load())
+	if ex.parallel.Load() {
 		ex.tr.Parallel = true
 	}
 	ex.tr.PeakBytes = ex.mem.peakBytes()
-	return out, s.cols, ex.tr, nil
+	return out, s.cols, nil
 }
 
-// build lowers one plan node to a streaming pipeline, mirroring eval's
-// operator selection decision for decision.
-func (st *streamer) build(n Node) (stream, error) {
-	ex := st.ex
+// build lowers one plan node to a pipeline. bounded reports that a Limit or
+// a bounded TopN sits above the node, which licenses early termination
+// (read-ahead scans, joins that stop pulling); drained nodes keep the
+// charge contract of the file comment.
+func (ex *executor) build(n Node, bounded bool) (stream, error) {
 	if err := ex.ctx.Err(); err != nil {
 		return stream{}, err
 	}
 	// A pull iterator has exactly one consumer, so a shared subexpression
-	// (q6's reused access) is evaluated once through the memoizing
-	// materializing path and re-chunked per consumer — shared nodes are
-	// barriers in both executors.
+	// (q6's reused access) is drained once into a memo and re-chunked per
+	// consumer — shared nodes are pipeline barriers.
 	if ex.uses[n] > 1 {
-		b, err := ex.eval(n)
+		m, err := ex.shared(n)
 		if err != nil {
 			return stream{}, err
 		}
-		return stream{
-			it:     &chunkIter{st: st, rel: b.rel, batch: st.batch},
-			cols:   b.cols,
-			sorted: b.sorted,
-		}, nil
+		return stream{it: newChunkIter(ex, m.rel), cols: m.cols, sorted: m.sorted}, nil
 	}
+	return ex.buildNode(n, bounded)
+}
+
+// shared drains a shared subexpression on its first use and returns the
+// memoized result on every use.
+func (ex *executor) shared(n Node) (*memoRel, error) {
+	if m, ok := ex.memo[n]; ok {
+		return m, nil
+	}
+	s, err := ex.buildNode(n, false)
+	if err != nil {
+		return nil, err
+	}
+	r, err := drainAll(s.it, len(s.cols))
+	if err != nil {
+		return nil, err
+	}
+	// The memo stays live until the plan finishes.
+	ex.mem.alloc(relBytes(r))
+	m := &memoRel{rel: r, cols: s.cols, sorted: s.sorted}
+	ex.memo[n] = m
+	return m, nil
+}
+
+func (ex *executor) buildNode(n Node, bounded bool) (stream, error) {
 	// Open the node's profile frame across the build phase (pipeline
 	// breakers like the partitioned join's hash build charge here) and
 	// wrap the finished edge so every next()/close() window accrues too.
@@ -272,13 +270,13 @@ func (st *streamer) build(n Node) (stream, error) {
 	var err error
 	switch x := n.(type) {
 	case *Access:
-		s, err = st.buildAccess(x)
+		s, err = ex.buildAccess(x, bounded)
 	case *Join:
-		s, err = st.buildJoin(x)
+		s, err = ex.buildJoin(x, bounded)
 	case *LeftJoin:
-		s, err = st.buildLeftJoin(x)
+		s, err = ex.buildLeftJoin(x, bounded)
 	case *FilterNe:
-		s, err = st.buildFilter(x.In, func(in stream) (func([]uint64) bool, error) {
+		s, err = ex.buildFilter(x.In, bounded, func(in stream) (func([]uint64) bool, error) {
 			c, err := in.col(x.Col)
 			if err != nil {
 				return nil, err
@@ -287,7 +285,7 @@ func (st *streamer) build(n Node) (stream, error) {
 			return func(row []uint64) bool { return row[c] != v }, nil
 		})
 	case *FilterEqCols:
-		s, err = st.buildFilter(x.In, func(in stream) (func([]uint64) bool, error) {
+		s, err = ex.buildFilter(x.In, bounded, func(in stream) (func([]uint64) bool, error) {
 			a, err := in.col(x.A)
 			if err != nil {
 				return nil, err
@@ -299,7 +297,7 @@ func (st *streamer) build(n Node) (stream, error) {
 			return func(row []uint64) bool { return row[a] == row[b] }, nil
 		})
 	case *FilterRange:
-		s, err = st.buildFilter(x.In, func(in stream) (func([]uint64) bool, error) {
+		s, err = ex.buildFilter(x.In, bounded, func(in stream) (func([]uint64) bool, error) {
 			c, err := in.col(x.Col)
 			if err != nil {
 				return nil, err
@@ -308,7 +306,7 @@ func (st *streamer) build(n Node) (stream, error) {
 			return func(row []uint64) bool { return pred(row[c]) }, nil
 		})
 	case *Having:
-		s, err = st.buildFilter(x.In, func(in stream) (func([]uint64) bool, error) {
+		s, err = ex.buildFilter(x.In, bounded, func(in stream) (func([]uint64) bool, error) {
 			c, err := in.col(x.Col)
 			if err != nil {
 				return nil, err
@@ -316,17 +314,17 @@ func (st *streamer) build(n Node) (stream, error) {
 			return func(row []uint64) bool { return row[c] > x.Min }, nil
 		})
 	case *Distinct:
-		s, err = st.buildDistinct(x)
+		s, err = ex.buildDistinct(x, bounded)
 	case *Union:
-		s, err = st.buildUnion(x)
+		s, err = ex.buildUnion(x, bounded)
 	case *Group:
-		s, err = st.buildGroup(x)
+		s, err = ex.buildGroup(x, bounded)
 	case *Project:
-		s, err = st.buildProject(x)
+		s, err = ex.buildProject(x, bounded)
 	case *TopN:
-		s, err = st.buildTopN(x)
+		s, err = ex.buildTopN(x, bounded)
 	case *Limit:
-		s, err = st.buildLimit(x)
+		s, err = ex.buildLimit(x)
 	default:
 		err = fmt.Errorf("unknown plan node %T", n)
 	}
@@ -379,50 +377,81 @@ func (e *edge) close() {
 	e.in.close()
 }
 
-// chunkIter slices an already-materialized relation into batches. The views
-// alias the backing array (which is already tracked), so no charges and no
-// fresh allocation happen — exactly what memo reuse costs the materializing
-// executor.
+// chunkIter slices a relation into batches, loading it on the first pull.
+// The views alias the backing array, so slicing charges nothing. A scan
+// chunkIter (load set) holds the scan's range as live memory until it is
+// exhausted or closed and counts its batches as source batches; a memo
+// chunkIter (rel set) aliases memory the executor already tracks.
 type chunkIter struct {
-	st    *streamer
-	rel   *rel.Rel
-	batch int
-	cur   int
-	src   bool
+	ex   *executor
+	load func() (*rel.Rel, error)
+	rel  *rel.Rel
+	cur  int
+	held int64
+}
+
+func newChunkIter(ex *executor, r *rel.Rel) *chunkIter {
+	return &chunkIter{ex: ex, rel: r}
 }
 
 func (c *chunkIter) next() (*rel.Rel, error) {
-	if err := c.st.ex.ctx.Err(); err != nil {
+	if err := c.ex.ctx.Err(); err != nil {
 		return nil, err
+	}
+	if c.rel == nil {
+		if c.load == nil {
+			return nil, nil
+		}
+		r, err := c.load()
+		if err != nil {
+			return nil, err
+		}
+		c.load = nil
+		c.rel = r
+		c.held = relBytes(r)
+		c.ex.mem.alloc(c.held)
 	}
 	n := c.rel.Len()
 	if c.cur >= n {
+		c.release()
 		return nil, nil
 	}
-	hi := c.cur + c.batch
+	hi := c.cur + c.ex.batch
 	if hi > n {
 		hi = n
 	}
 	out := &rel.Rel{W: c.rel.W, Data: c.rel.Data[c.cur*c.rel.W : hi*c.rel.W]}
 	c.cur = hi
-	if c.src {
-		c.st.srcBatches.Add(1)
+	if c.held > 0 {
+		c.ex.srcBatches.Add(1)
 	}
 	return out, nil
 }
 
-func (c *chunkIter) close() { c.cur = c.rel.Len() }
+// release frees a loaded scan range.
+func (c *chunkIter) release() {
+	c.ex.mem.free(c.held)
+	c.held = 0
+}
+
+func (c *chunkIter) close() {
+	c.release()
+	c.load = nil
+	if c.rel != nil {
+		c.cur = c.rel.Len()
+	}
+}
 
 // srcIter adapts a physical RelIter: counts source batches and checks the
 // request context at every batch boundary, so cancellation lands mid-scan.
 type srcIter struct {
-	st  *streamer
+	ex  *executor
 	src RelIter
 }
 
 func (s *srcIter) next() (*rel.Rel, error) {
 	for {
-		if err := s.st.ex.ctx.Err(); err != nil {
+		if err := s.ex.ctx.Err(); err != nil {
 			return nil, err
 		}
 		b, err := s.src.Next()
@@ -435,7 +464,7 @@ func (s *srcIter) next() (*rel.Rel, error) {
 		if b.Len() == 0 {
 			continue
 		}
-		s.st.srcBatches.Add(1)
+		s.ex.srcBatches.Add(1)
 		return b, nil
 	}
 }
@@ -489,61 +518,91 @@ func drainAll(it iter, w int) (*rel.Rel, error) {
 	return out, nil
 }
 
-// propStream opens a streaming per-property scan, falling back to a chunked
-// materializing scan on schemes without StreamSource.
-func (st *streamer) propStream(p, s, o rdf.ID, need ScanCols) (iter, error) {
-	if ss, ok := st.ex.src.(StreamSource); ok {
-		ri, err := ss.StreamProp(p, s, o, need, st.batch)
+// countRows pulls an input to exhaustion, discarding the rows, and closes
+// it — how a drained join finishes the side whose rows can no longer match.
+func countRows(it iter) (int, error) {
+	n := 0
+	for {
+		b, err := it.next()
+		if err != nil {
+			it.close()
+			return n, err
+		}
+		if b == nil {
+			break
+		}
+		n += b.Len()
+	}
+	it.close()
+	return n, nil
+}
+
+// propScan opens one per-property scan: the scheme's bulk ScanProp read at
+// first pull when drained, its windowed StreamProp cursor when bounded (or
+// the bulk scan again on schemes without StreamSource).
+func (ex *executor) propScan(p, s, o rdf.ID, need ScanCols, bounded bool) (iter, error) {
+	if ss, ok := ex.src.(StreamSource); ok && bounded {
+		ri, err := ss.StreamProp(p, s, o, need, ex.batch)
 		if err != nil {
 			return nil, err
 		}
-		return &srcIter{st: st, src: ri}, nil
+		return &srcIter{ex: ex, src: ri}, nil
 	}
-	rows, err := st.ex.src.ScanProp(p, s, o, need)
-	if err != nil {
-		return nil, err
-	}
-	st.ex.mem.alloc(relBytes(rows))
-	return &chunkIter{st: st, rel: rows, batch: st.batch, src: true}, nil
+	return &chunkIter{ex: ex, load: func() (*rel.Rel, error) {
+		return ex.src.ScanProp(p, s, o, need)
+	}}, nil
 }
 
-// triplesStream is propStream's unbound-property counterpart.
-func (st *streamer) triplesStream(s, o rdf.ID, need ScanCols) iter {
-	if ss, ok := st.ex.src.(StreamSource); ok {
-		return &srcIter{st: st, src: ss.StreamTriples(s, o, need, st.batch)}
+// assembleIter maps physical scan batches to the pattern's variable
+// columns (pure, no charges). Property scans deliver (s, o) rows under
+// property p; triple scans (triples set) deliver (s, p, o) rows. When the
+// pattern's variables are exactly the physical columns in order, every
+// batch already is its assembled form and passes through uncopied.
+func assembleIter(in iter, slots []slot, triples bool, p uint64) iter {
+	phys := []int{0, 2}
+	if triples {
+		phys = []int{0, 1, 2}
 	}
-	rows := st.ex.src.ScanTriples(s, o, need)
-	st.ex.mem.alloc(relBytes(rows))
-	return &chunkIter{st: st, rel: rows, batch: st.batch, src: true}
-}
-
-// assembleIter maps physical (s, p, o) batches to the pattern's variable
-// columns — the per-batch form of evalAccess's assemble call (pure, no
-// charges in either executor).
-func assembleIter(in iter, slots []slot, vals func(row []uint64) [3]uint64) iter {
+	if len(slots) == len(phys) && len(slotCols(slots)) == len(slots) {
+		same := true
+		for i, sl := range slots {
+			same = same && sl.pos == phys[i]
+		}
+		if same {
+			return in
+		}
+	}
 	return &mapIter{in: in, f: func(b *rel.Rel) *rel.Rel {
-		out, _ := assemble(slots, b.Len(), func(i int) [3]uint64 { return vals(b.Row(i)) })
+		out, _ := assemble(slots, b.Len(), func(i int) [3]uint64 {
+			r := b.Row(i)
+			if triples {
+				return [3]uint64{r[0], r[1], r[2]}
+			}
+			return [3]uint64{r[0], p, r[1]}
+		})
 		return out
 	}}
 }
 
-func (st *streamer) buildAccess(a *Access) (stream, error) {
-	ex := st.ex
+func (ex *executor) buildAccess(a *Access, bounded bool) (stream, error) {
 	tp := a.Pattern
 	slots := ex.keptSlots(a)
+	cols := slotCols(slots)
 
 	if tp.P.Bound() {
-		it, err := st.propStream(tp.P.Const, tp.S.Const, tp.O.Const, needOf(slots))
+		// Single-property access: the per-property scan path on every
+		// scheme (an indexed range on the triples table, or one vertical
+		// table).
+		it, err := ex.propScan(tp.P.Const, tp.S.Const, tp.O.Const, needOf(slots), bounded)
 		if err != nil {
 			return stream{}, err
 		}
-		p := uint64(tp.P.Const)
-		cols := slotCols(slots)
-		out := assembleIter(it, slots, func(r []uint64) [3]uint64 {
-			return [3]uint64{r[0], p, r[1]}
-		})
+		out := assembleIter(it, slots, false, uint64(tp.P.Const))
 		sorted := ""
 		if ex.src.PropOrdered() {
+			// SO-clustered vertical tables return the first unbound
+			// position ascending: subjects in general, objects within one
+			// bound subject.
 			switch {
 			case !tp.S.Bound() && tp.S.Var != "":
 				sorted = tp.S.Var
@@ -555,86 +614,129 @@ func (st *streamer) buildAccess(a *Access) (stream, error) {
 	}
 
 	if ex.src.Partitioned() {
+		// Unbound property over per-property tables: scan each table and
+		// union — the plans with "more than two hundred unions and joins"
+		// the paper attributes to the vertical scheme. The restricted
+		// queries visit only the interesting tables.
 		props := ex.src.Cat().AllProps
 		if a.Restrict {
 			props = ex.src.Cat().Interesting
 		}
-		cols := slotCols(slots)
 		open := func(i int) (iter, error) {
-			it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, needOf(slots))
+			it, err := ex.propScan(props[i], tp.S.Const, tp.O.Const, needOf(slots), bounded)
 			if err != nil {
 				return nil, err
 			}
-			pv := uint64(props[i])
-			return assembleIter(it, slots, func(r []uint64) [3]uint64 {
-				return [3]uint64{r[0], pv, r[1]}
-			}), nil
+			return assembleIter(it, slots, false, uint64(props[i])), nil
 		}
-		return stream{it: st.fanout(open, len(props), len(cols)), cols: cols}, nil
+		return stream{it: ex.fanout(open, len(props), len(cols)), cols: cols}, nil
 	}
 
-	// Unbound property on a triple-store: one streamed scan, with the
-	// properties-table restriction applied per batch as a hash semijoin
-	// (build the 28-property set once, probe every row).
+	// Unbound property on a triple-store: one scan of the triples table,
+	// with the property restriction applied as the properties-table
+	// semijoin of the paper's restricted queries (which reads the property
+	// column, so the mask must include it).
 	need := needOf(slots)
 	if a.Restrict {
 		need.P = true
 	}
-	it := st.triplesStream(tp.S.Const, tp.O.Const, need)
-	if a.Restrict {
-		// The restriction set comes from the catalog; the materializing
-		// path's one-time set construction (a 28-row properties-table scan
-		// or hash build) is a constant the streaming path does not re-charge.
-		set := ex.src.Cat().interestingSet()
-		st.sops.StreamNode()
-		it = &filterIter{st: st, in: it, w: 3, restrict: true, pred: func(row []uint64) bool {
-			return set[row[1]]
+	var it iter
+	if ss, ok := ex.src.(StreamSource); ok && bounded {
+		it = &srcIter{ex: ex, src: ss.StreamTriples(tp.S.Const, tp.O.Const, need, ex.batch)}
+		if a.Restrict {
+			// Streamed, the restriction is a set filter probed per row; the
+			// properties-table scan of the bulk path is not re-read.
+			set := ex.src.Cat().interestingSet()
+			it = &filterIter{ex: ex, in: it, w: 3, restrict: true, pred: func(row []uint64) bool {
+				return set[row[1]]
+			}}
+		}
+	} else {
+		it = &chunkIter{ex: ex, load: func() (*rel.Rel, error) {
+			rows := ex.src.ScanTriples(tp.S.Const, tp.O.Const, need)
+			if a.Restrict {
+				rows = ex.src.RestrictProps(rows, 1)
+			}
+			return rows, nil
 		}}
 	}
-	out := assembleIter(it, slots, func(r []uint64) [3]uint64 {
-		return [3]uint64{r[0], r[1], r[2]}
-	})
-	return stream{it: out, cols: slotCols(slots)}, nil
+	return stream{it: assembleIter(it, slots, true, 0), cols: cols}, nil
 }
 
 // fanout streams the per-property parts of a partitioned access in property
 // order — sequentially, or with a prefetching worker pool when the parallel
-// mode is on. Union movement is charged as each batch passes downstream, and
-// closing the fan-out early stops parts that were never reached (the
-// streaming executor's saving on LIMIT plans; with workers the abandoned
-// prefetch depth is scheduling-dependent, see ExecOptions.Workers).
-// The w parameter is the width the union movement is charged at — the
-// materializing fan-out unions before projecting, so it can exceed the
-// emitted batch width (partitioned joins fuse the projection).
-func (st *streamer) fanout(open func(i int) (iter, error), n, w int) iter {
-	if st.ex.opt.Workers > 1 && n > 1 {
-		return &parFanout{st: st, open: open, n: n, w: w}
+// mode is on. The union is charged when the fan-out finishes: one dispatch
+// per opened part, and the row movement once over all parts.
+// Closing the fan-out early stops parts that were never reached (with
+// workers the abandoned prefetch depth is scheduling-dependent, see
+// ExecOptions.Workers). The w parameter is the width the union movement is
+// charged at — partitioned joins union before projecting away the access's
+// copy of the join column, so it can exceed the emitted batch width.
+func (ex *executor) fanout(open func(i int) (iter, error), n, w int) iter {
+	u := &unionCharge{ex: ex, w: w}
+	if ex.opt.Workers > 1 && n > 1 {
+		return &parFanout{ex: ex, open: open, n: n, union: u}
 	}
-	return &seqFanout{st: st, open: open, n: n, w: w}
+	return &seqFanout{ex: ex, open: open, n: n, union: u}
+}
+
+// unionCharge accumulates the parts a union-all merges and the rows it
+// moves, and charges them once. Parts may open on prefetch workers. A
+// binary union of two plan inputs charges the engine's binary-union
+// dispatch instead of one per part.
+type unionCharge struct {
+	ex     *executor
+	w      int
+	binary bool
+	parts  atomic.Int64
+	rows   int
+	done   bool
+}
+
+func (u *unionCharge) add(n int) { u.rows += n }
+
+// openPart counts one opened fan-out part.
+func (u *unionCharge) openPart() {
+	u.parts.Add(1)
+	u.ex.partScans.Add(1)
+	u.ex.unionParts.Add(1)
+}
+
+func (u *unionCharge) finish() {
+	if u.done {
+		return
+	}
+	u.done = true
+	if u.binary {
+		u.ex.ops.StreamUnionNode()
+	}
+	for i := u.parts.Load(); i > 0; i-- {
+		u.ex.ops.StreamNode()
+	}
+	u.ex.ops.StreamUnionRows(u.rows, u.w)
 }
 
 type seqFanout struct {
-	st   *streamer
-	open func(i int) (iter, error)
-	n, w int
-	cur  int
-	it   iter
+	ex    *executor
+	open  func(i int) (iter, error)
+	n     int
+	union *unionCharge
+	cur   int
+	it    iter
 }
 
 func (f *seqFanout) next() (*rel.Rel, error) {
 	for {
 		if f.it == nil {
 			if f.cur >= f.n {
+				f.union.finish()
 				return nil, nil
 			}
 			it, err := f.open(f.cur)
 			if err != nil {
 				return nil, err
 			}
-			// The union-all charges one operator dispatch per merged part.
-			f.st.sops.StreamNode()
-			f.st.partScans.Add(1)
-			f.st.unionParts.Add(1)
+			f.union.openPart()
 			f.cur++
 			f.it = it
 		}
@@ -647,7 +749,7 @@ func (f *seqFanout) next() (*rel.Rel, error) {
 			f.it = nil
 			continue
 		}
-		f.st.sops.StreamUnionRows(b.Len(), f.w)
+		f.union.add(b.Len())
 		return b, nil
 	}
 }
@@ -658,6 +760,7 @@ func (f *seqFanout) close() {
 		f.it = nil
 	}
 	f.cur = f.n
+	f.union.finish()
 }
 
 // parFanout prefetches the per-property parts over the worker pool while the
@@ -671,9 +774,10 @@ type fanMsg struct {
 }
 
 type parFanout struct {
-	st      *streamer
+	ex      *executor
 	open    func(i int) (iter, error)
-	n, w    int
+	n       int
+	union   *unionCharge
 	chans   []chan fanMsg
 	stop    atomic.Bool
 	wg      sync.WaitGroup
@@ -684,12 +788,12 @@ type parFanout struct {
 
 func (f *parFanout) start() {
 	f.started = true
-	f.st.parallel.Store(true)
+	f.ex.parallel.Store(true)
 	f.chans = make([]chan fanMsg, f.n)
 	for i := range f.chans {
 		f.chans[i] = make(chan fanMsg, 2)
 	}
-	workers := f.st.ex.opt.Workers
+	workers := f.ex.opt.Workers
 	if workers > f.n {
 		workers = f.n
 	}
@@ -723,10 +827,7 @@ func (f *parFanout) runPart(i int) {
 		return
 	}
 	defer it.close()
-	// The union-all charges one operator dispatch per merged part.
-	f.st.sops.StreamNode()
-	f.st.partScans.Add(1)
-	f.st.unionParts.Add(1)
+	f.union.openPart()
 	for {
 		if f.stop.Load() {
 			return
@@ -740,7 +841,7 @@ func (f *parFanout) runPart(i int) {
 			return
 		}
 		// Prefetched batches waiting in the channel are live memory.
-		f.st.ex.mem.alloc(relBytes(b))
+		f.ex.mem.alloc(relBytes(b))
 		ch <- fanMsg{b: b}
 	}
 }
@@ -758,10 +859,11 @@ func (f *parFanout) next() (*rel.Rel, error) {
 		if msg.err != nil {
 			return nil, msg.err
 		}
-		f.st.ex.mem.free(relBytes(msg.b))
-		f.st.sops.StreamUnionRows(msg.b.Len(), f.w)
+		f.ex.mem.free(relBytes(msg.b))
+		f.union.add(msg.b.Len())
 		return msg.b, nil
 	}
+	f.union.finish()
 	return nil, nil
 }
 
@@ -770,40 +872,44 @@ func (f *parFanout) close() {
 		return
 	}
 	f.closed = true
+	f.union.finish()
 	if !f.started {
 		return
 	}
 	f.stop.Store(true)
 	for _, ch := range f.chans {
 		for msg := range ch {
-			f.st.ex.mem.free(relBytes(msg.b))
+			f.ex.mem.free(relBytes(msg.b))
 		}
 	}
 	f.wg.Wait()
 }
 
-// filterIter drops rows failing pred, charging per evaluated row (restrict
-// selects the engine's interesting-properties restriction rate).
+// filterIter drops rows failing pred and charges its dispatch and the
+// evaluated rows once, at exhaustion or close (restrict selects the
+// engine's interesting-properties restriction rate).
 type filterIter struct {
-	st       *streamer
+	ex       *executor
 	in       iter
 	w        int
 	pred     func([]uint64) bool
 	restrict bool
+	rows     int
+	done     bool
 }
 
 func (f *filterIter) next() (*rel.Rel, error) {
 	for {
 		b, err := f.in.next()
-		if b == nil || err != nil {
+		if err != nil {
 			return nil, err
 		}
-		n := b.Len()
-		if f.restrict {
-			f.st.sops.StreamRestrictRows(n, f.w)
-		} else {
-			f.st.sops.StreamFilterRows(n, f.w)
+		if b == nil {
+			f.finish()
+			return nil, nil
 		}
+		n := b.Len()
+		f.rows += n
 		out := rel.New(b.W)
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
@@ -817,10 +923,26 @@ func (f *filterIter) next() (*rel.Rel, error) {
 	}
 }
 
-func (f *filterIter) close() { f.in.close() }
+func (f *filterIter) finish() {
+	if f.done {
+		return
+	}
+	f.done = true
+	f.ex.ops.StreamNode()
+	if f.restrict {
+		f.ex.ops.StreamRestrictRows(f.rows, f.w)
+	} else {
+		f.ex.ops.StreamFilterRows(f.rows, f.w)
+	}
+}
 
-func (st *streamer) buildFilter(in Node, mk func(stream) (func([]uint64) bool, error)) (stream, error) {
-	s, err := st.build(in)
+func (f *filterIter) close() {
+	f.finish()
+	f.in.close()
+}
+
+func (ex *executor) buildFilter(in Node, bounded bool, mk func(stream) (func([]uint64) bool, error)) (stream, error) {
+	s, err := ex.build(in, bounded)
 	if err != nil {
 		return stream{}, err
 	}
@@ -829,16 +951,14 @@ func (st *streamer) buildFilter(in Node, mk func(stream) (func([]uint64) bool, e
 		s.it.close()
 		return stream{}, err
 	}
-	st.sops.StreamNode()
 	return stream{
-		it:     &filterIter{st: st, in: s.it, w: len(s.cols), pred: pred},
+		it:     &filterIter{ex: ex, in: s.it, w: len(s.cols), pred: pred},
 		cols:   s.cols,
 		sorted: s.sorted,
 	}, nil
 }
 
-// sharedVar finds the single join variable of two schemas, as the
-// materializing join lowering does.
+// sharedVar finds the single join variable of two schemas.
 func sharedVar(lcols, rcols []string) (string, error) {
 	rSet := map[string]bool{}
 	for _, c := range rcols {
@@ -869,33 +989,58 @@ func joinOutCols(lcols, rcols []string, rc int) []string {
 	return cols
 }
 
-func (st *streamer) buildJoin(j *Join) (stream, error) {
-	ex := st.ex
+// partitionedJoinSide recognizes a join input that is an unbound-property
+// access on a partitioned scheme (optionally behind a FilterNe), the shape
+// eligible for join pushdown into the per-property fan-out.
+func (ex *executor) partitionedJoinSide(n Node) (*Access, *FilterNe) {
+	var f *FilterNe
+	if x, ok := n.(*FilterNe); ok {
+		if ex.uses[x] > 1 {
+			return nil, nil
+		}
+		f = x
+		n = x.In
+	}
+	a, ok := n.(*Access)
+	if !ok || a.Pattern.P.Bound() || !ex.src.Partitioned() {
+		return nil, nil
+	}
+	// A shared subexpression must be evaluated exactly once through the
+	// memo, never consumed by pushdown (which bypasses memoization).
+	if ex.uses[a] > 1 {
+		return nil, nil
+	}
+	return a, f
+}
+
+func (ex *executor) buildJoin(j *Join, bounded bool) (stream, error) {
+	// Join pushdown: a partitioned unbound-property access joins per
+	// property table, inside the fan-out.
 	if a, f := ex.partitionedJoinSide(j.R); a != nil {
-		other, err := st.build(j.L)
+		other, err := ex.build(j.L, bounded)
 		if err != nil {
 			return stream{}, err
 		}
 		if ex.prof != nil {
 			ex.prof.note(j, "partitioned hash")
 		}
-		return st.buildPartitionedJoin(other, a, f)
+		return ex.buildPartitionedJoin(other, a, f, bounded)
 	}
 	if a, f := ex.partitionedJoinSide(j.L); a != nil {
-		other, err := st.build(j.R)
+		other, err := ex.build(j.R, bounded)
 		if err != nil {
 			return stream{}, err
 		}
 		if ex.prof != nil {
 			ex.prof.note(j, "partitioned hash")
 		}
-		return st.buildPartitionedJoin(other, a, f)
+		return ex.buildPartitionedJoin(other, a, f, bounded)
 	}
-	l, err := st.build(j.L)
+	l, err := ex.build(j.L, bounded)
 	if err != nil {
 		return stream{}, err
 	}
-	r, err := st.build(j.R)
+	r, err := ex.build(j.R, bounded)
 	if err != nil {
 		l.it.close()
 		return stream{}, err
@@ -918,42 +1063,44 @@ func (st *streamer) buildJoin(j *Join) (stream, error) {
 		}
 	}
 	cols := joinOutCols(l.cols, r.cols, rc)
-	st.sops.StreamNode()
-	var it iter
 	if merge {
-		it = &mergeJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols)}
-	} else {
-		it = &hashJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols)}
+		it := &mergeJoinIter{ex: ex, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols), bounded: bounded}
+		return stream{it: it, cols: cols, sorted: v}, nil
 	}
-	sorted := ""
-	if merge {
-		sorted = v
-	}
-	return stream{it: it, cols: cols, sorted: sorted}, nil
+	it := &hashJoinIter{ex: ex, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols), bounded: bounded}
+	return stream{it: it, cols: cols}, nil
 }
 
-// hashJoinIter replicates the materializing hash join's build-side choice
-// and output order without knowing |R| in advance: it drains L (the build
-// side's size is always known to an optimizer), then buffers R only until R
-// proves at least as large as L — from then on R streams straight through
-// the probe. When R exhausts smaller, the buffered R builds and the drained
-// L probes in order. Either way the emitted order is probe-major with
-// matches in build-insertion order: exactly the materializing operator's.
+// hashJoinIter builds on the smaller input without knowing |R| in advance:
+// it drains L (the build side's size is always known to an optimizer),
+// then buffers R only until R proves at least as large as L — from then on
+// R streams straight through the probe. When R exhausts smaller, the
+// buffered R builds and the drained L probes in order; building the right
+// input costs one more operator dispatch, the engines' swapped-join price.
+// Either way the emitted order is probe-major with matches in build-
+// insertion order. An empty L closes R unread only when bounded; a drained
+// join probes all of R, as the charge contract requires. All charges land
+// at finish, after both inputs' I/O.
 type hashJoinIter struct {
-	st      *streamer
+	ex      *executor
 	l, r    iter
 	lc, rc  int
 	lw, rw  int
+	bounded bool
 	started bool
 	done    bool
+	charged bool
 
-	ht       map[uint64][]int
-	build    *rel.Rel // build side rows in insertion order
-	buildIsL bool
-	probeRel *rel.Rel   // drained probe side (build-R case)
-	probeCur int        // chunk cursor into probeRel
-	replay   []*rel.Rel // buffered probe batches to re-emit (build-L case)
-	bufBytes int64
+	ht        map[uint64][]int
+	build     *rel.Rel   // build side rows in insertion order
+	buildIsL  bool       // false until a side is built; R builds when smaller
+	probeRel  *rel.Rel   // drained probe side (build-R case)
+	probeCur  int        // chunk cursor into probeRel
+	replay    []*rel.Rel // buffered probe batches to re-emit (build-L case)
+	bufBytes  int64
+	buildRows int
+	probeRows int
+	emitRows  int
 }
 
 func (h *hashJoinIter) start() error {
@@ -964,11 +1111,12 @@ func (h *hashJoinIter) start() error {
 	}
 	h.hold(relBytes(lrel))
 	nl := lrel.Len()
-	if nl == 0 {
-		// No row can join; the streaming executor closes R unread (the
-		// materializing one still scans it — an allowed charge divergence).
+	if nl == 0 && h.bounded {
+		// No row can join; close R unread.
+		h.buildIsL = true
 		h.r.close()
 		h.done = true
+		h.finish()
 		h.release()
 		return nil
 	}
@@ -989,7 +1137,6 @@ func (h *hashJoinIter) start() error {
 	if rRows < nl {
 		// R is strictly smaller: build R (insertion order = R order), probe
 		// the drained L in its order.
-		h.buildIsL = false
 		bld := rel.New(h.rw)
 		for _, b := range rbufs {
 			bld.Data = append(bld.Data, b.Data...)
@@ -1010,6 +1157,7 @@ func (h *hashJoinIter) start() error {
 
 func (h *hashJoinIter) buildTable(b *rel.Rel, c int) {
 	n := b.Len()
+	h.buildRows = n
 	h.ht = make(map[uint64][]int, n)
 	for i := 0; i < n; i++ {
 		k := b.Row(i)[c]
@@ -1017,25 +1165,43 @@ func (h *hashJoinIter) buildTable(b *rel.Rel, c int) {
 	}
 	// The table's buckets are live alongside the buffered rows.
 	h.hold(int64(n) * 16)
-	if h.buildIsL {
-		h.st.sops.StreamHashBuildRows(n, h.lw)
-	} else {
-		h.st.sops.StreamHashBuildRows(n, h.rw)
-	}
 }
 
 func (h *hashJoinIter) hold(n int64) {
-	h.st.ex.mem.alloc(n)
+	h.ex.mem.alloc(n)
 	h.bufBytes += n
 }
 
 func (h *hashJoinIter) release() {
-	h.st.ex.mem.free(h.bufBytes)
+	h.ex.mem.free(h.bufBytes)
 	h.bufBytes = 0
 	h.ht = nil
 	h.build = nil
 	h.probeRel = nil
 	h.replay = nil
+}
+
+// finish charges the join once: its dispatch (two when the right input
+// built), the build, the probe and the output materialization.
+func (h *hashJoinIter) finish() {
+	if h.charged {
+		return
+	}
+	h.charged = true
+	h.ex.ops.StreamNode()
+	if h.build == nil && !h.buildIsL {
+		return // closed or failed before any side was built
+	}
+	buildW, probeW := h.lw, h.rw
+	if !h.buildIsL {
+		h.ex.ops.StreamNode()
+		buildW, probeW = h.rw, h.lw
+	}
+	h.ex.ops.StreamHashBuildRows(h.buildRows, buildW)
+	h.ex.ops.StreamHashProbeRows(h.probeRows, probeW)
+	// Charged at the pre-projection width; the operator fuses the free
+	// projection that drops the right copy of the join column.
+	h.ex.ops.StreamJoinEmitRows(h.emitRows, h.lw+h.rw)
 }
 
 // nextProbe returns the next probe-side batch, or nil at exhaustion.
@@ -1045,7 +1211,7 @@ func (h *hashJoinIter) nextProbe() (*rel.Rel, error) {
 		if h.probeCur >= n {
 			return nil, nil
 		}
-		hi := h.probeCur + h.st.batch
+		hi := h.probeCur + h.ex.batch
 		if hi > n {
 			hi = n
 		}
@@ -1071,9 +1237,9 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 		return nil, nil
 	}
 	outW := h.lw + h.rw - 1
-	probeW := h.rw
+	pc := h.rc
 	if !h.buildIsL {
-		probeW = h.lw
+		pc = h.lc
 	}
 	for {
 		pb, err := h.nextProbe()
@@ -1082,16 +1248,13 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 		}
 		if pb == nil {
 			h.done = true
+			h.finish()
 			h.release()
 			return nil, nil
 		}
 		n := pb.Len()
-		h.st.sops.StreamHashProbeRows(n, probeW)
+		h.probeRows += n
 		out := rel.New(outW)
-		pc := h.rc
-		if !h.buildIsL {
-			pc = h.lc
-		}
 		for i := 0; i < n; i++ {
 			prow := pb.Row(i)
 			for _, bi := range h.ht[prow[pc]] {
@@ -1104,16 +1267,14 @@ func (h *hashJoinIter) next() (*rel.Rel, error) {
 			}
 		}
 		if out.Len() > 0 {
-			// Charged at the materializing join's pre-projection width; the
-			// streaming operator fuses the free projection.
-			h.st.sops.StreamJoinEmitRows(out.Len(), h.lw+h.rw)
+			h.emitRows += out.Len()
 			return out, nil
 		}
 	}
 }
 
 // appendJoinRow emits one joined row: the left row, then the right row minus
-// its copy of the join column — the executor's post-join projection, fused.
+// its copy of the join column — the post-join projection, fused.
 func appendJoinRow(out *rel.Rel, lrow, rrow []uint64, rc int) {
 	out.Data = append(out.Data, lrow...)
 	for i, v := range rrow {
@@ -1125,6 +1286,7 @@ func appendJoinRow(out *rel.Rel, lrow, rrow []uint64, rc int) {
 
 func (h *hashJoinIter) close() {
 	h.done = true
+	h.finish()
 	h.release()
 	h.l.close()
 	h.r.close()
@@ -1133,13 +1295,14 @@ func (h *hashJoinIter) close() {
 // buildLeftJoin streams SPARQL's OPTIONAL: the optional (right) side builds
 // — it must be complete before any left row can be declared unmatched — and
 // the required (left) side streams through the probe in order, so left
-// ordering survives, as in the materializing operator.
-func (st *streamer) buildLeftJoin(j *LeftJoin) (stream, error) {
-	l, err := st.build(j.L)
+// ordering survives. There is no partitioned pushdown: the OPTIONAL boundary
+// is also a fan-out boundary.
+func (ex *executor) buildLeftJoin(j *LeftJoin, bounded bool) (stream, error) {
+	l, err := ex.build(j.L, bounded)
 	if err != nil {
 		return stream{}, err
 	}
-	r, err := st.build(j.R)
+	r, err := ex.build(j.R, bounded)
 	if err != nil {
 		l.it.close()
 		return stream{}, err
@@ -1148,29 +1311,34 @@ func (st *streamer) buildLeftJoin(j *LeftJoin) (stream, error) {
 	if err != nil {
 		l.it.close()
 		r.it.close()
-		return stream{}, err
+		return stream{}, fmt.Errorf("left %w", err)
 	}
 	lc, _ := l.col(v)
 	rc, _ := r.col(v)
-	st.ex.tr.Joins = append(st.ex.tr.Joins, JoinChoice{Var: v, Merge: false})
-	if st.ex.prof != nil {
-		st.ex.prof.note(j, "hash")
+	ex.tr.Joins = append(ex.tr.Joins, JoinChoice{Var: v, Merge: false})
+	if ex.prof != nil {
+		ex.prof.note(j, "hash")
 	}
 	cols := joinOutCols(l.cols, r.cols, rc)
-	st.sops.StreamNode()
-	it := &leftJoinIter{st: st, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols)}
+	it := &leftJoinIter{ex: ex, l: l.it, r: r.it, lc: lc, rc: rc, lw: len(l.cols), rw: len(r.cols)}
+	// A matched left row may repeat, which keeps the left ordering
+	// non-strictly ascending — what merge joins require.
 	return stream{it: it, cols: cols, sorted: l.sorted}, nil
 }
 
 type leftJoinIter struct {
-	st       *streamer
-	l, r     iter
-	lc, rc   int
-	lw, rw   int
-	started  bool
-	ht       map[uint64][]int
-	build    *rel.Rel
-	bufBytes int64
+	ex        *executor
+	l, r      iter
+	lc, rc    int
+	lw, rw    int
+	started   bool
+	charged   bool
+	ht        map[uint64][]int
+	build     *rel.Rel
+	nulls     []uint64
+	bufBytes  int64
+	probeRows int
+	emitRows  int
 }
 
 func (j *leftJoinIter) start() error {
@@ -1181,15 +1349,34 @@ func (j *leftJoinIter) start() error {
 	}
 	j.build = rrel
 	j.bufBytes = relBytes(rrel) + int64(rrel.Len())*16
-	j.st.ex.mem.alloc(j.bufBytes)
+	j.ex.mem.alloc(j.bufBytes)
 	n := rrel.Len()
 	j.ht = make(map[uint64][]int, n)
 	for i := 0; i < n; i++ {
 		k := rrel.Row(i)[j.rc]
 		j.ht[k] = append(j.ht[k], i)
 	}
-	j.st.sops.StreamHashBuildRows(n, j.rw)
+	j.nulls = make([]uint64, j.rw)
+	for i := range j.nulls {
+		j.nulls[i] = uint64(rdf.NoID)
+	}
 	return nil
+}
+
+// finish charges the join once: dispatch, build, probe, materialization.
+func (j *leftJoinIter) finish() {
+	if j.charged {
+		return
+	}
+	j.charged = true
+	j.ex.ops.StreamNode()
+	if j.build == nil {
+		return // closed or failed before the build
+	}
+	j.ex.ops.StreamHashBuildRows(j.build.Len(), j.rw)
+	j.ex.ops.StreamHashProbeRows(j.probeRows, j.lw)
+	// Charged at the pre-projection width.
+	j.ex.ops.StreamJoinEmitRows(j.emitRows, j.lw+j.rw)
 }
 
 func (j *leftJoinIter) next() (*rel.Rel, error) {
@@ -1198,23 +1385,24 @@ func (j *leftJoinIter) next() (*rel.Rel, error) {
 			return nil, err
 		}
 	}
-	outW := j.lw + j.rw - 1
-	nulls := make([]uint64, j.rw)
-	for i := range nulls {
-		nulls[i] = uint64(rdf.NoID)
-	}
 	b, err := j.l.next()
-	if b == nil || err != nil {
+	if err != nil {
 		return nil, err
 	}
+	if b == nil {
+		j.finish()
+		return nil, nil
+	}
 	n := b.Len()
-	j.st.sops.StreamHashProbeRows(n, j.lw)
-	out := rel.New(outW)
+	j.probeRows += n
+	out := rel.New(j.lw + j.rw - 1)
 	for i := 0; i < n; i++ {
 		lrow := b.Row(i)
 		matches := j.ht[lrow[j.lc]]
 		if len(matches) == 0 {
-			appendJoinRow(out, lrow, nulls, j.rc)
+			// The right copy of the join column is dropped, so unmatched
+			// rows keep the left value and NoID everywhere else.
+			appendJoinRow(out, lrow, j.nulls, j.rc)
 			continue
 		}
 		for _, bi := range matches {
@@ -1222,13 +1410,13 @@ func (j *leftJoinIter) next() (*rel.Rel, error) {
 		}
 	}
 	// Every left row emits at least once, so the batch is never empty.
-	// Charged at the materializing join's pre-projection width.
-	j.st.sops.StreamJoinEmitRows(out.Len(), j.lw+j.rw)
+	j.emitRows += out.Len()
 	return out, nil
 }
 
 func (j *leftJoinIter) close() {
-	j.st.ex.mem.free(j.bufBytes)
+	j.finish()
+	j.ex.mem.free(j.bufBytes)
 	j.bufBytes = 0
 	j.ht = nil
 	j.build = nil
@@ -1237,13 +1425,12 @@ func (j *leftJoinIter) close() {
 }
 
 // rowCur steps row-at-a-time over a batch iterator — the merge join's input
-// abstraction. Advancement charges accrue per pulled batch.
+// abstraction — counting the rows it pulled.
 type rowCur struct {
-	st   *streamer
 	in   iter
-	w    int
 	b    *rel.Rel
 	i    int
+	rows int
 	done bool
 }
 
@@ -1265,48 +1452,60 @@ func (c *rowCur) cur() ([]uint64, error) {
 			c.done = true
 			return nil, nil
 		}
-		c.st.sops.StreamMergeRows(b.Len(), c.w)
+		c.rows += b.Len()
 		c.b, c.i = b, 0
 	}
 }
 
 func (c *rowCur) advance() { c.i++ }
 
-// mergeJoinIter is the streaming linear merge join over two inputs sorted on
-// their join columns. Equal runs cross-product left-outer, matching the
-// materializing operator's emission order; only the current right-side run
-// is buffered, so memory stays bounded by the largest run.
+// drain pulls the rest of the input, counting its rows.
+func (c *rowCur) drain() error {
+	if c.done {
+		return nil
+	}
+	n, err := countRows(c.in)
+	c.rows += n
+	c.done = true
+	return err
+}
+
+// mergeJoinIter is the linear merge join over two inputs sorted on their
+// join columns. Equal runs cross-product left-outer; only the current
+// right-side run is buffered, so memory stays bounded by the largest run.
+// Once either input is exhausted no further row can match: a bounded join
+// stops there, a drained one pulls the other input to its end, so both
+// inputs are charged in full.
 type mergeJoinIter struct {
-	st     *streamer
-	l, r   iter
-	lc, rc int
-	lw, rw int
-	lcur   *rowCur
-	rcur   *rowCur
+	ex      *executor
+	l, r    iter
+	lc, rc  int
+	lw, rw  int
+	bounded bool
+	lcur    *rowCur
+	rcur    *rowCur
 	// run is the buffered right-side equal run being crossed with the
-	// current left rows; runLeft is the pending left row mid-run.
+	// current left rows.
 	run      [][]uint64
 	runVal   uint64
 	inRun    bool
 	runBytes int64
+	emitRows int
 	done     bool
-}
-
-func (m *mergeJoinIter) init() {
-	if m.lcur == nil {
-		m.lcur = &rowCur{st: m.st, in: m.l, w: m.lw}
-		m.rcur = &rowCur{st: m.st, in: m.r, w: m.rw}
-	}
+	charged  bool
 }
 
 func (m *mergeJoinIter) next() (*rel.Rel, error) {
 	if m.done {
+		m.finish()
 		return nil, nil
 	}
-	m.init()
-	outW := m.lw + m.rw - 1
-	out := rel.New(outW)
-	for out.Len() < m.st.batch {
+	if m.lcur == nil {
+		m.lcur = &rowCur{in: m.l}
+		m.rcur = &rowCur{in: m.r}
+	}
+	out := rel.New(m.lw + m.rw - 1)
+	for out.Len() < m.ex.batch {
 		if m.inRun {
 			// Cross the current left row with the buffered right run, then
 			// step to the next left row of the run.
@@ -1333,6 +1532,14 @@ func (m *mergeJoinIter) next() (*rel.Rel, error) {
 			return nil, err
 		}
 		if lrow == nil || rrow == nil {
+			if !m.bounded {
+				if err := m.lcur.drain(); err != nil {
+					return nil, err
+				}
+				if err := m.rcur.drain(); err != nil {
+					return nil, err
+				}
+			}
 			m.done = true
 			break
 		}
@@ -1358,28 +1565,45 @@ func (m *mergeJoinIter) next() (*rel.Rel, error) {
 					break
 				}
 			}
-			m.st.ex.mem.alloc(m.runBytes)
+			m.ex.mem.alloc(m.runBytes)
 		}
 	}
+	m.emitRows += out.Len()
 	if out.Len() == 0 {
+		m.finish()
 		return nil, nil
 	}
-	// Charged at the materializing join's pre-projection width.
-	m.st.sops.StreamJoinEmitRows(out.Len(), m.lw+m.rw)
 	return out, nil
 }
 
 func (m *mergeJoinIter) endRun() {
 	m.inRun = false
 	m.run = m.run[:0]
-	m.st.ex.mem.free(m.runBytes)
+	m.ex.mem.free(m.runBytes)
 	m.runBytes = 0
+}
+
+// finish charges the join once: dispatch, the merge advancement over both
+// inputs, and the output materialization.
+func (m *mergeJoinIter) finish() {
+	if m.charged {
+		return
+	}
+	m.charged = true
+	m.ex.ops.StreamNode()
+	if m.lcur == nil {
+		return
+	}
+	m.ex.ops.StreamMergeRows(m.lcur.rows, m.rcur.rows)
+	// Charged at the pre-projection width.
+	m.ex.ops.StreamJoinEmitRows(m.emitRows, m.lw+m.rw)
 }
 
 func (m *mergeJoinIter) close() {
 	m.done = true
+	m.finish()
 	if m.runBytes > 0 {
-		m.st.ex.mem.free(m.runBytes)
+		m.ex.mem.free(m.runBytes)
 		m.runBytes = 0
 	}
 	m.l.close()
@@ -1387,12 +1611,13 @@ func (m *mergeJoinIter) close() {
 }
 
 // buildPartitionedJoin streams the join pushdown into a partitioned fan-out:
-// the non-access side drains once into a hash build (as PrepareHashJoin
-// does), and every per-property scan streams through tag → filter → probe in
-// property order, so the union of the per-table joins is emitted without
-// ever materializing it.
-func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (stream, error) {
-	ex := st.ex
+// instead of materializing the full per-property union and joining once,
+// the non-access side drains once into a hash build and every property
+// table streams through tag → filter → probe in its own step, in property
+// order — the vertically-partitioned plans of the paper, with "more than
+// two hundred unions and joins", and the unit of work the parallel mode
+// fans out. Join distributes over union, so the result is the same bag.
+func (ex *executor) buildPartitionedJoin(other stream, a *Access, f *FilterNe, bounded bool) (stream, error) {
 	tp := a.Pattern
 	slots := ex.keptSlots(a)
 	accCols := slotCols(slots)
@@ -1425,15 +1650,15 @@ func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (
 	if a.Restrict {
 		props = ex.src.Cat().Interesting
 	}
-	// Build once over the drained non-access side, as PrepareHashJoin does.
+	// Build once over the drained non-access side.
 	orel, err := drainAll(other.it, len(other.cols))
 	if err != nil {
 		return stream{}, err
 	}
 	bufBytes := relBytes(orel) + int64(orel.Len())*16
 	ex.mem.alloc(bufBytes)
-	st.sops.StreamNode()
-	st.sops.StreamHashBuildRows(orel.Len(), len(other.cols))
+	ex.ops.StreamNode()
+	ex.ops.StreamHashBuildRows(orel.Len(), len(other.cols))
 	ex.tr.Joins = append(ex.tr.Joins, JoinChoice{Var: v, Merge: false})
 	cols := make([]string, 0, len(other.cols)+len(accCols)-1)
 	cols = append(cols, other.cols...)
@@ -1442,9 +1667,8 @@ func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (
 			cols = append(cols, c)
 		}
 	}
-	if orel.Len() == 0 {
-		// Nothing can join; skip the fan-out entirely (the materializing
-		// executor still scans every table — an allowed charge divergence).
+	if orel.Len() == 0 && bounded {
+		// Nothing can join; skip the fan-out entirely.
 		ex.mem.free(bufBytes)
 		return stream{it: emptyIter{}, cols: cols}, nil
 	}
@@ -1458,62 +1682,89 @@ func (st *streamer) buildPartitionedJoin(other stream, a *Access, f *FilterNe) (
 	// the arms concurrently) and fold the totals in at finish().
 	var accRows, accBatches, filtRows, filtBatches atomic.Int64
 	if ex.prof != nil {
-		ex.profileFusedStream(a, f, &accRows, &accBatches, &filtRows, &filtBatches)
+		ex.profileFused(a, f, &accRows, &accBatches, &filtRows, &filtBatches)
 	}
 	open := func(i int) (iter, error) {
-		it, err := st.propStream(props[i], tp.S.Const, tp.O.Const, needOf(slots))
+		it, err := ex.propScan(props[i], tp.S.Const, tp.O.Const, needOf(slots), bounded)
 		if err != nil {
 			return nil, err
 		}
-		pv := uint64(props[i])
-		tagged := assembleIter(it, slots, func(r []uint64) [3]uint64 {
-			return [3]uint64{r[0], pv, r[1]}
-		})
+		tagged := assembleIter(it, slots, false, uint64(props[i]))
 		if ex.prof != nil {
 			tagged = &countIter{in: tagged, rows: &accRows, batches: &accBatches}
 		}
 		if fc >= 0 {
-			st.sops.StreamNode()
 			val := uint64(f.Value)
-			tagged = &filterIter{st: st, in: tagged, w: len(accCols), pred: func(row []uint64) bool {
+			tagged = &filterIter{ex: ex, in: tagged, w: len(accCols), pred: func(row []uint64) bool {
 				return row[fc] != val
 			}}
 			if ex.prof != nil {
 				tagged = &countIter{in: tagged, rows: &filtRows, batches: &filtBatches}
 			}
 		}
-		st.sops.StreamNode() // the per-table probe dispatch
-		return &partProbeIter{st: st, in: tagged, orel: orel, ht: ht, ac: ac, aw: len(accCols)}, nil
+		return &partProbeIter{ex: ex, in: tagged, orel: orel, ht: ht, ac: ac, aw: len(accCols)}, nil
 	}
-	// Union movement is charged at the materializing fan-out's
-	// pre-projection width (the probe outputs before dropping the join col).
-	fo := st.fanout(open, len(props), len(other.cols)+len(accCols))
+	// Union movement is charged at the pre-projection width (the probe
+	// outputs before dropping the join column).
+	fo := ex.fanout(open, len(props), len(other.cols)+len(accCols))
 	return stream{it: &releaseIter{in: fo, free: func() {
 		ex.mem.free(bufBytes)
 	}}, cols: cols}, nil
 }
 
-// partProbeIter probes tagged per-property batches against the shared build
-// side, emitting build-row ++ probe-row (minus the access's join column) in
-// probe-major order — Probe's order, with the executor's projection fused.
+// profileFused records child frames for a partitioned join's fused access
+// (and optional filter) steps under the join being built. The per-part
+// arms only run — possibly on prefetch workers — once the pipeline is
+// pulled, so row totals land through the atomics at finish(); their work
+// is charged to the join frame.
+func (ex *executor) profileFused(a *Access, f *FilterNe, accRows, accBatches, filtRows, filtBatches *atomic.Int64) {
+	fill := func(p *OpProfile, rows, batches *atomic.Int64) {
+		ex.prof.onFinish = append(ex.prof.onFinish, func() {
+			p.Rows = int(rows.Load())
+			p.Batches = int(batches.Load())
+		})
+	}
+	if f != nil {
+		fp := ex.prof.enter(f)
+		fp.Note = "fused"
+		fill(fp, filtRows, filtBatches)
+		defer ex.prof.exit()
+	}
+	ap := ex.prof.enter(a)
+	ap.Note = "fused"
+	fill(ap, accRows, accBatches)
+	ex.prof.exit()
+}
+
+// partProbeIter probes one property table's tagged batches against the
+// shared build side, emitting build-row ++ probe-row (minus the access's
+// join column) in probe-major order. Each table is its own probe step, so
+// its dispatch and rows are charged when the part finishes.
 type partProbeIter struct {
-	st   *streamer
-	in   iter
-	orel *rel.Rel
-	ht   map[uint64][]int
-	ac   int
-	aw   int
+	ex        *executor
+	in        iter
+	orel      *rel.Rel
+	ht        map[uint64][]int
+	ac        int
+	aw        int
+	probeRows int
+	emitRows  int
+	charged   bool
 }
 
 func (p *partProbeIter) next() (*rel.Rel, error) {
 	outW := p.orel.W + p.aw - 1
 	for {
 		b, err := p.in.next()
-		if b == nil || err != nil {
+		if err != nil {
 			return nil, err
 		}
+		if b == nil {
+			p.finish()
+			return nil, nil
+		}
 		n := b.Len()
-		p.st.sops.StreamHashProbeRows(n, p.aw)
+		p.probeRows += n
 		out := rel.New(outW)
 		for i := 0; i < n; i++ {
 			arow := b.Row(i)
@@ -1522,14 +1773,27 @@ func (p *partProbeIter) next() (*rel.Rel, error) {
 			}
 		}
 		if out.Len() > 0 {
-			// Charged at the materializing probe's pre-projection width.
-			p.st.sops.StreamJoinEmitRows(out.Len(), p.orel.W+p.aw)
+			p.emitRows += out.Len()
 			return out, nil
 		}
 	}
 }
 
-func (p *partProbeIter) close() { p.in.close() }
+func (p *partProbeIter) finish() {
+	if p.charged {
+		return
+	}
+	p.charged = true
+	p.ex.ops.StreamNode()
+	p.ex.ops.StreamHashProbeRows(p.probeRows, p.aw)
+	// Charged at the pre-projection width.
+	p.ex.ops.StreamJoinEmitRows(p.emitRows, p.orel.W+p.aw)
+}
+
+func (p *partProbeIter) close() {
+	p.finish()
+	p.in.close()
+}
 
 // releaseIter frees buffered operator state exactly once, at close or
 // exhaustion, whichever comes first.
@@ -1541,7 +1805,7 @@ type releaseIter struct {
 
 func (r *releaseIter) next() (*rel.Rel, error) {
 	b, err := r.in.next()
-	if b == nil && r.free != nil && !r.freed {
+	if b == nil && !r.freed {
 		r.freed = true
 		r.free()
 	}
@@ -1551,42 +1815,46 @@ func (r *releaseIter) next() (*rel.Rel, error) {
 func (r *releaseIter) close() {
 	if !r.freed {
 		r.freed = true
-		if r.free != nil {
-			r.free()
-		}
+		r.free()
 	}
 	r.in.close()
 }
 
-func (st *streamer) buildDistinct(d *Distinct) (stream, error) {
-	s, err := st.build(d.In)
+func (ex *executor) buildDistinct(d *Distinct, bounded bool) (stream, error) {
+	s, err := ex.build(d.In, bounded)
 	if err != nil {
 		return stream{}, err
 	}
-	st.sops.StreamNode()
-	it := &distinctIter{st: st, in: s.it, w: len(s.cols), seen: map[string]bool{}}
+	it := &distinctIter{ex: ex, in: s.it, w: len(s.cols), seen: map[string]bool{}}
+	// First occurrences keep input order, so ordering survives.
 	return stream{it: it, cols: s.cols, sorted: s.sorted}, nil
 }
 
-// distinctIter keeps first occurrences in input order — both engines'
-// Distinct semantics — with the seen-set carried across batches.
+// distinctIter keeps first occurrences in input order, with the seen-set
+// carried across batches.
 type distinctIter struct {
-	st       *streamer
+	ex       *executor
 	in       iter
 	w        int
 	seen     map[string]bool
 	keyBytes int64
+	rows     int
+	charged  bool
 }
 
 func (d *distinctIter) next() (*rel.Rel, error) {
 	buf := make([]byte, 0, d.w*8)
 	for {
 		b, err := d.in.next()
-		if b == nil || err != nil {
+		if err != nil {
 			return nil, err
 		}
+		if b == nil {
+			d.finish()
+			return nil, nil
+		}
 		n := b.Len()
-		d.st.sops.StreamDistinctRows(n, d.w)
+		d.rows += n
 		out := rel.New(b.W)
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
@@ -1599,7 +1867,7 @@ func (d *distinctIter) next() (*rel.Rel, error) {
 			if k := string(buf); !d.seen[k] {
 				d.seen[k] = true
 				kb := int64(len(k)) + 16
-				d.st.ex.mem.alloc(kb)
+				d.ex.mem.alloc(kb)
 				d.keyBytes += kb
 				out.Data = append(out.Data, row...)
 			}
@@ -1610,36 +1878,47 @@ func (d *distinctIter) next() (*rel.Rel, error) {
 	}
 }
 
+func (d *distinctIter) finish() {
+	if !d.charged {
+		d.charged = true
+		d.ex.ops.StreamNode()
+		d.ex.ops.StreamDistinctRows(d.rows, d.w)
+	}
+}
+
 func (d *distinctIter) close() {
-	d.st.ex.mem.free(d.keyBytes)
+	d.finish()
+	d.ex.mem.free(d.keyBytes)
 	d.keyBytes = 0
 	d.seen = nil
 	d.in.close()
 }
 
-func (st *streamer) buildUnion(u *Union) (stream, error) {
-	l, err := st.build(u.L)
+func (ex *executor) buildUnion(u *Union, bounded bool) (stream, error) {
+	l, err := ex.build(u.L, bounded)
 	if err != nil {
 		return stream{}, err
 	}
-	r, err := st.build(u.R)
+	r, err := ex.build(u.R, bounded)
 	if err != nil {
 		l.it.close()
 		return stream{}, err
 	}
-	if len(l.cols) != len(r.cols) {
+	fail := func() (stream, error) {
 		l.it.close()
 		r.it.close()
 		return stream{}, fmt.Errorf("union of %v and %v", l.cols, r.cols)
 	}
+	if len(l.cols) != len(r.cols) {
+		return fail()
+	}
+	// Align the right side's column order with the left's.
 	perm := make([]int, len(l.cols))
 	identity := true
 	for i, c := range l.cols {
 		j, err := r.col(c)
 		if err != nil {
-			l.it.close()
-			r.it.close()
-			return stream{}, fmt.Errorf("union of %v and %v", l.cols, r.cols)
+			return fail()
 		}
 		perm[i] = j
 		if i != j {
@@ -1649,18 +1928,16 @@ func (st *streamer) buildUnion(u *Union) (stream, error) {
 	if identity {
 		perm = nil
 	}
-	st.sops.StreamNode()
-	it := &unionIter{st: st, l: l.it, r: r.it, w: len(l.cols), perm: perm}
+	it := &unionIter{l: l.it, r: r.it, perm: perm, union: &unionCharge{ex: ex, w: len(l.cols), binary: true}}
 	return stream{it: it, cols: l.cols}, nil
 }
 
 // unionIter concatenates two inputs (left fully, then right), aligning the
 // right side's column order per batch when it differs.
 type unionIter struct {
-	st      *streamer
 	l, r    iter
-	w       int
 	perm    []int
+	union   *unionCharge
 	onRight bool
 }
 
@@ -1679,25 +1956,30 @@ func (u *unionIter) next() (*rel.Rel, error) {
 			}
 		} else {
 			b, err = u.r.next()
-			if b == nil || err != nil {
+			if err != nil {
 				return nil, err
+			}
+			if b == nil {
+				u.union.finish()
+				return nil, nil
 			}
 			if u.perm != nil {
 				b = b.Project(u.perm...)
 			}
 		}
-		u.st.sops.StreamUnionRows(b.Len(), u.w)
+		u.union.add(b.Len())
 		return b, nil
 	}
 }
 
 func (u *unionIter) close() {
+	u.union.finish()
 	u.l.close()
 	u.r.close()
 }
 
-func (st *streamer) buildGroup(g *Group) (stream, error) {
-	s, err := st.build(g.In)
+func (ex *executor) buildGroup(g *Group, bounded bool) (stream, error) {
+	s, err := ex.build(g.In, bounded)
 	if err != nil {
 		return stream{}, err
 	}
@@ -1712,27 +1994,26 @@ func (st *streamer) buildGroup(g *Group) (stream, error) {
 			return stream{}, err
 		}
 	}
-	st.sops.StreamNode()
 	cols := append(append([]string(nil), g.Keys...), CountCol)
-	it := &groupIter{st: st, in: s.it, keys: keys, w: len(s.cols)}
+	it := &groupIter{ex: ex, in: s.it, keys: keys}
+	// The output is sorted lexicographically on all columns.
 	return stream{it: it, cols: cols, sorted: g.Keys[0]}, nil
 }
 
 // groupIter is a pipeline breaker, but a compact one: it counts group sizes
 // incrementally per batch — only the group table is buffered, never the
-// input — then emits the sorted (keys..., count) rows both engines'
-// GroupCount produce.
+// input — then emits the (keys..., count) rows sorted on all columns.
 type groupIter struct {
-	st       *streamer
+	ex       *executor
 	in       iter
 	keys     []int
-	w        int
 	out      *chunkIter
 	tabBytes int64
 }
 
 func (g *groupIter) start() error {
 	counts := make(map[[2]uint64]uint64, 64)
+	rows := 0
 	for {
 		b, err := g.in.next()
 		if err != nil {
@@ -1743,7 +2024,7 @@ func (g *groupIter) start() error {
 			break
 		}
 		n := b.Len()
-		g.st.sops.StreamGroupRows(n, len(g.keys))
+		rows += n
 		for i := 0; i < n; i++ {
 			row := b.Row(i)
 			var k [2]uint64
@@ -1751,13 +2032,15 @@ func (g *groupIter) start() error {
 				k[j] = row[c]
 			}
 			if _, ok := counts[k]; !ok {
-				g.st.ex.mem.alloc(40)
+				g.ex.mem.alloc(40)
 				g.tabBytes += 40
 			}
 			counts[k]++
 		}
 	}
 	g.in.close()
+	g.ex.ops.StreamNode()
+	g.ex.ops.StreamGroupRows(rows, len(g.keys))
 	out := rel.New(len(g.keys) + 1)
 	for k, cnt := range counts {
 		vals := make([]uint64, 0, 3)
@@ -1766,9 +2049,9 @@ func (g *groupIter) start() error {
 		out.Append(vals...)
 	}
 	out.Sort()
-	g.st.ex.mem.alloc(relBytes(out))
+	g.ex.mem.alloc(relBytes(out))
 	g.tabBytes += relBytes(out)
-	g.out = &chunkIter{st: g.st, rel: out, batch: g.st.batch}
+	g.out = newChunkIter(g.ex, out)
 	return nil
 }
 
@@ -1782,14 +2065,14 @@ func (g *groupIter) next() (*rel.Rel, error) {
 }
 
 func (g *groupIter) close() {
-	g.st.ex.mem.free(g.tabBytes)
+	g.ex.mem.free(g.tabBytes)
 	g.tabBytes = 0
 	g.out = nil
 	g.in.close()
 }
 
-func (st *streamer) buildProject(p *Project) (stream, error) {
-	s, err := st.build(p.In)
+func (ex *executor) buildProject(p *Project, bounded bool) (stream, error) {
+	s, err := ex.build(p.In, bounded)
 	if err != nil {
 		return stream{}, err
 	}
@@ -1818,8 +2101,8 @@ func (st *streamer) buildProject(p *Project) (stream, error) {
 	return stream{it: it, cols: append([]string(nil), names...), sorted: sorted}, nil
 }
 
-func (st *streamer) buildTopN(t *TopN) (stream, error) {
-	s, err := st.build(t.In)
+func (ex *executor) buildTopN(t *TopN, bounded bool) (stream, error) {
+	s, err := ex.build(t.In, bounded || t.Limit >= 0)
 	if err != nil {
 		return stream{}, err
 	}
@@ -1828,33 +2111,33 @@ func (st *streamer) buildTopN(t *TopN) (stream, error) {
 		s.it.close()
 		return stream{}, err
 	}
-	st.sops.StreamNode()
-	if st.ex.prof != nil {
+	if ex.prof != nil {
 		if t.Limit >= 0 {
-			st.ex.prof.note(t, "heap")
+			ex.prof.note(t, "heap")
 		} else {
-			st.ex.prof.note(t, "sort")
+			ex.prof.note(t, "sort")
 		}
 	}
-	it := &topNIter{st: st, in: s.it, less: less, limit: t.Limit, w: len(s.cols)}
-	return stream{it: it, cols: s.cols, sorted: ""}, nil
+	it := &topNIter{ex: ex, in: s.it, less: less, limit: t.Limit, w: len(s.cols)}
+	// Value order is not identifier order, so the merge-join licence does
+	// not survive a TopN.
+	return stream{it: it, cols: s.cols}, nil
 }
 
 // topNIter is ORDER BY / LIMIT as a bounded heap: for limit k ≥ 0 it keeps
 // the k least rows under less in a max-heap (worst at the root), charging
 // exactly ceil(log2 k) comparisons per input row; the survivors sort at the
-// end, which under the plan layer's total order reproduces the materializing
-// full sort's first k rows byte for byte. A negative limit is plain ORDER BY
-// — a full-sort breaker delegated to the engine's materializing TopN.
+// end, which under the plan layer's total order reproduces a full sort's
+// first k rows byte for byte. A negative limit is plain ORDER BY — a
+// full-sort breaker delegated to the engine's TopN.
 type topNIter struct {
-	st      *streamer
+	ex      *executor
 	in      iter
 	less    func(a, b []uint64) bool
 	limit   int
 	w       int
 	started bool
 	out     *chunkIter
-	bufRel  *rel.Rel
 	heap    [][]uint64
 	bytes   int64
 }
@@ -1863,29 +2146,24 @@ func (t *topNIter) start() error {
 	t.started = true
 	if t.limit < 0 {
 		// Plain ORDER BY: nothing to terminate early, so drain and run the
-		// engine's own sort (identical charges to the materializing path).
+		// engine's own sort.
 		in, err := drainAll(t.in, t.w)
 		if err != nil {
 			return err
 		}
-		t.bytes = relBytes(in)
-		t.st.ex.mem.alloc(t.bytes)
 		n := in.Len()
-		t.st.ex.tr.TopNs = append(t.st.ex.tr.TopNs, TopNStat{
+		t.ex.tr.TopNs = append(t.ex.tr.TopNs, TopNStat{
 			Input: n, Limit: t.limit, Compares: sortCompares(n),
 		})
-		out := t.st.ex.ops.TopN(in, t.limit, t.less)
-		t.bufRel = out
-		t.st.ex.mem.alloc(relBytes(out))
-		t.bytes += relBytes(out)
-		t.out = &chunkIter{st: t.st, rel: out, batch: t.st.batch}
+		out := t.ex.ops.TopN(in, t.limit, t.less)
+		t.setOut(in, out)
 		return nil
 	}
 	if t.limit == 0 {
 		// LIMIT 0 pulls nothing: close the input before it does any work.
 		t.in.close()
-		t.st.ex.tr.TopNs = append(t.st.ex.tr.TopNs, TopNStat{Limit: 0, Heap: true})
-		t.out = &chunkIter{st: t.st, rel: rel.New(t.w), batch: t.st.batch}
+		t.ex.tr.TopNs = append(t.ex.tr.TopNs, TopNStat{Limit: 0, Heap: true})
+		t.out = newChunkIter(t.ex, rel.New(t.w))
 		return nil
 	}
 	k := t.limit
@@ -1902,28 +2180,35 @@ func (t *topNIter) start() error {
 		}
 		n := b.Len()
 		input += n
-		t.st.sops.StreamSortCompares(int64(n) * perRow)
 		for i := 0; i < n; i++ {
 			t.push(b.Row(i), k)
 		}
 	}
 	t.in.close()
+	// The engine's full sort dispatches its own node; the heap is ours.
+	t.ex.ops.StreamNode()
+	t.ex.ops.StreamSortCompares(int64(input) * perRow)
 	rows := t.heap
 	sort.Slice(rows, func(i, j int) bool { return t.less(rows[i], rows[j]) })
 	out := rel.NewCap(t.w, len(rows))
 	for _, row := range rows {
 		out.Data = append(out.Data, row...)
 	}
-	t.st.sops.StreamEmitRows(out.Len(), t.w)
-	t.st.ex.tr.TopNs = append(t.st.ex.tr.TopNs, TopNStat{
+	t.ex.ops.StreamEmitRows(out.Len(), t.w)
+	t.ex.tr.TopNs = append(t.ex.tr.TopNs, TopNStat{
 		Input: input, Limit: k, Compares: int64(input) * perRow, Heap: true,
 	})
-	t.bufRel = out
-	t.st.ex.mem.alloc(relBytes(out))
-	t.bytes += relBytes(out)
-	t.out = &chunkIter{st: t.st, rel: out, batch: t.st.batch}
 	t.heap = nil
+	t.setOut(nil, out)
 	return nil
+}
+
+// setOut holds the sort buffers as live memory and serves the result.
+func (t *topNIter) setOut(in, out *rel.Rel) {
+	n := relBytes(in) + relBytes(out)
+	t.ex.mem.alloc(n)
+	t.bytes += n
+	t.out = newChunkIter(t.ex, out)
 }
 
 // push offers one row to the bounded max-heap of the k least rows.
@@ -1932,7 +2217,7 @@ func (t *topNIter) push(row []uint64, k int) {
 	if len(h) < k {
 		cp := append([]uint64(nil), row...)
 		h = append(h, cp)
-		t.st.ex.mem.alloc(int64(t.w) * 8)
+		t.ex.mem.alloc(int64(t.w) * 8)
 		t.bytes += int64(t.w) * 8
 		// Sift up: parents hold the greater row.
 		i := len(h) - 1
@@ -1984,16 +2269,15 @@ func (t *topNIter) next() (*rel.Rel, error) {
 }
 
 func (t *topNIter) close() {
-	t.st.ex.mem.free(t.bytes)
+	t.ex.mem.free(t.bytes)
 	t.bytes = 0
 	t.heap = nil
-	t.bufRel = nil
 	t.out = nil
 	t.in.close()
 }
 
-func (st *streamer) buildLimit(l *Limit) (stream, error) {
-	s, err := st.build(l.In)
+func (ex *executor) buildLimit(l *Limit) (stream, error) {
+	s, err := ex.build(l.In, true)
 	if err != nil {
 		return stream{}, err
 	}
@@ -2002,13 +2286,13 @@ func (st *streamer) buildLimit(l *Limit) (stream, error) {
 		n = 0
 	}
 	it := &limitIter{in: s.it, remaining: n}
+	// The prefix of an ordered input stays ordered.
 	return stream{it: it, cols: s.cols, sorted: s.sorted}, nil
 }
 
 // limitIter passes its input's first N rows through and then closes the
 // input — the early-termination signal that propagates all the way into the
-// physical scans. Truncation itself is free, exactly as in the materializing
-// evalLimit.
+// physical scans. Truncation itself is free.
 type limitIter struct {
 	in        iter
 	remaining int

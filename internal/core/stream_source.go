@@ -10,15 +10,15 @@ import (
 )
 
 // This file implements StreamSource for the four storage schemes: each
-// scheme's materializing ScanProp/ScanTriples is re-expressed as a pull
-// iterator that delivers the same rows in the same order with the same
-// access-path charges, paid batch by batch instead of up front — so a
-// consumer that terminates early (LIMIT, TopN, an exhausted join build)
-// saves the simulated CPU and I/O of the unread tail.
+// scheme's bulk ScanProp/ScanTriples is re-expressed as a pull iterator
+// that delivers the same rows in the same order with the same access-path
+// charges, paid batch by batch instead of up front — so a scan below a
+// LIMIT that terminates early saves the simulated CPU and I/O of the
+// unread tail.
 
 // rowScanIter adapts the row engine's ScanCursor to the executor's RelIter,
 // optionally projecting the tuple down to the pattern's (s, o) columns
-// (free, as rel.Project is for the materializing path).
+// (free, as rel.Project is for the bulk scan).
 type rowScanIter struct {
 	cur  *rowstore.ScanCursor
 	proj []int
@@ -48,8 +48,8 @@ func (it *colScanIter) Next() (*rel.Rel, error) { return it.s.Next(), nil }
 func (it *colScanIter) Close()                  {}
 
 // chunkRelIter is the materialize-then-chunk fallback for scheme paths the
-// streaming executor never exercises (Partitioned schemes answer unbound
-// properties through the per-property fan-out, not ScanTriples).
+// executor never exercises (partitioned schemes answer unbound properties
+// through the per-property fan-out, not ScanTriples).
 type chunkRelIter struct {
 	rel   *rel.Rel
 	batch int
@@ -104,7 +104,7 @@ func (d *RowTriple) StreamTriples(s, o rdf.ID, _ ScanCols, batchRows int) RelIte
 
 // StreamProp implements StreamSource: a pull cursor over one property
 // table (clustered SO for subject bounds, the OS index for object bounds —
-// pickIndex decides, as in the materializing scan).
+// pickIndex decides, as in the bulk scan).
 func (d *RowVert) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter, error) {
 	t, ok := d.tables[p]
 	if !ok {
@@ -120,7 +120,7 @@ func (d *RowVert) StreamProp(p, s, o rdf.ID, _ ScanCols, batchRows int) (RelIter
 	return &rowScanIter{cur: d.eng.ScanEqStream(t, bound, batchRows)}, nil
 }
 
-// StreamTriples implements StreamSource. The streaming executor answers
+// StreamTriples implements StreamSource. The executor answers
 // unbound properties on partitioned schemes through the per-property
 // fan-out, so this is only the interface-completing fallback.
 func (d *RowVert) StreamTriples(s, o rdf.ID, need ScanCols, batchRows int) RelIter {
@@ -140,7 +140,7 @@ func streamCol(eng *colstore.Engine, c *colstore.Column, bound rdf.ID, needed bo
 	if bound != rdf.NoID {
 		return colstore.StreamCol{Const: uint64(bound)}
 	}
-	// One Fetch call per demanded column in the materializing path.
+	// One Fetch call per demanded column in the bulk scan.
 	eng.ChargeNode()
 	return colstore.StreamCol{C: c}
 }
@@ -165,7 +165,7 @@ func (d *ColVert) StreamProp(p, s, o rdf.ID, need ScanCols, batchRows int) (RelI
 		lo, hi = d.eng.SelectRange(sc, uint64(s))
 		conds = append(conds, colstore.EqCond{C: sc, V: uint64(s)})
 		if o != rdf.NoID {
-			// The materializing path's SelectEqAt dispatch.
+			// The bulk scan's SelectEqAt dispatch.
 			d.eng.ChargeNode()
 			conds = append(conds, colstore.EqCond{C: oc, V: uint64(o)})
 		}
@@ -202,7 +202,7 @@ func (d *ColTriple) streamSelect(lead *colstore.Column, leadV uint64, rest ...co
 	}
 	conds := append([]colstore.EqCond{{C: lead, V: leadV}}, rest...)
 	for range rest {
-		// One SelectEqAt dispatch per refinement in the materializing path.
+		// One SelectEqAt dispatch per refinement in the bulk scan.
 		d.eng.ChargeNode()
 	}
 	return lo, hi, conds

@@ -10,25 +10,37 @@ import (
 	"blackswan/internal/simio"
 )
 
-// This file tests the streaming executor against its contract: results are
-// byte-identical to the materializing executor on every scheme (including
-// row order), early termination reaches the physical scans, the bounded
-// heap charges n·ceil(log2 k) comparisons, and per-query peak memory stays
-// bounded by batches plus operator state rather than whole intermediates.
+// This file tests the executor against its contract: results and
+// simulated charges do not depend on the batch size or the worker pool,
+// early termination reaches the physical scans, the bounded heap charges
+// n·ceil(log2 k) comparisons, and a LIMIT plan's peak memory stays bounded
+// by batches plus operator state rather than whole scan ranges.
 
-// streamVariants are the option sets a result-identity test runs beyond the
-// materializing baseline: plain streaming, a deliberately awkward batch
-// size (exercises batch-boundary logic), and the worker-pool fan-out.
-var streamVariants = []ExecOptions{
-	{Streaming: true},
-	{Streaming: true, BatchRows: 7},
-	{Streaming: true, Workers: 3},
+// execVariants are the option sets a result- and charge-identity test runs
+// beyond the defaults: a deliberately awkward batch size (exercises
+// batch-boundary logic), single-row batches, and the worker-pool fan-out.
+var execVariants = []ExecOptions{
+	{BatchRows: 7},
+	{BatchRows: 1},
+	{Workers: 3},
+}
+
+// charges reads a scheme's cumulative simulated CPU and I/O.
+func charges(t *testing.T, src PhysicalSource) (cpu, io int64) {
+	t.Helper()
+	m, ok := src.Ops().(ChargeMeter)
+	if !ok {
+		t.Fatalf("%T has no charge meter", src.Ops())
+	}
+	cpu, io, _ = m.Charges()
+	return cpu, io
 }
 
 // TestStreamingByteIdenticalPaperQueries runs the twelve benchmark queries
-// on every engine × scheme × clustering combination, comparing the
-// streaming executor's raw output — width, row order, bytes — against the
-// materializing executor's.
+// on every engine × scheme × clustering combination and requires every
+// option variant to reproduce the default run's raw output — width, row
+// order, bytes — and its simulated charges: a drained plan charges its
+// operators' totals once, however its rows were batched or fanned out.
 func TestStreamingByteIdenticalPaperQueries(t *testing.T) {
 	type fixture struct {
 		name string
@@ -45,25 +57,33 @@ func TestStreamingByteIdenticalPaperQueries(t *testing.T) {
 		for _, db := range fx.dbs {
 			src := db.(PhysicalSource)
 			for _, q := range BenchmarkQueries() {
-				want, wtr, err := ExecuteTraced(src, q, ExecOptions{})
+				// Warm the buffer pool so every measured run is hot and the
+				// runs compare like for like.
+				if _, err := Execute(src, q); err != nil {
+					t.Fatalf("%s %s %v: %v", fx.name, db.Label(), q, err)
+				}
+				cpu0, io0 := charges(t, src)
+				want, err := Execute(src, q)
 				if err != nil {
-					t.Fatalf("%s %s %v: materializing: %v", fx.name, db.Label(), q, err)
+					t.Fatalf("%s %s %v: %v", fx.name, db.Label(), q, err)
 				}
-				if wtr.Streamed {
-					t.Fatalf("%s %s %v: materializing trace claims Streamed", fx.name, db.Label(), q)
-				}
-				for _, opt := range streamVariants {
-					got, gtr, err := ExecuteTraced(src, q, opt)
+				cpu1, io1 := charges(t, src)
+				wantCPU, wantIO := cpu1-cpu0, io1-io0
+				for _, opt := range execVariants {
+					got, err := ExecuteOpts(src, q, opt)
 					if err != nil {
 						t.Fatalf("%s %s %v %+v: %v", fx.name, db.Label(), q, opt, err)
 					}
-					if !gtr.Streamed {
-						t.Fatalf("%s %s %v %+v: trace not marked Streamed", fx.name, db.Label(), q, opt)
-					}
+					cpu2, io2 := charges(t, src)
 					if got.W != want.W || fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-						t.Fatalf("%s %s %v %+v: streaming result differs\n got  %d rows %v\n want %d rows %v",
+						t.Fatalf("%s %s %v %+v: result differs from the default run\n got  %d rows %v\n want %d rows %v",
 							fx.name, db.Label(), q, opt, got.Len(), got.Data, want.Len(), want.Data)
 					}
+					if cpu2-cpu1 != wantCPU || io2-io1 != wantIO {
+						t.Fatalf("%s %s %v %+v: charged (cpu %d, io %d), default run (cpu %d, io %d)",
+							fx.name, db.Label(), q, opt, cpu2-cpu1, io2-io1, wantCPU, wantIO)
+					}
+					cpu1, io1 = cpu2, io2
 				}
 			}
 		}
@@ -94,14 +114,14 @@ func TestStreamingEarlyTermination(t *testing.T) {
 	const batch = 16
 	for _, db := range dbs {
 		src := db.(PhysicalSource)
-		full, _, ftr, err := ExecutePlan(src, access, ExecOptions{Streaming: true, BatchRows: batch})
+		full, _, ftr, err := ExecutePlan(src, access, ExecOptions{BatchRows: batch})
 		if err != nil {
 			t.Fatalf("%s: full scan: %v", db.Label(), err)
 		}
 		if full.Len() <= 10*5 {
 			t.Fatalf("%s: fixture too small for the property (%d type rows)", db.Label(), full.Len())
 		}
-		lim, _, ltr, err := ExecutePlan(src, limited, ExecOptions{Streaming: true, BatchRows: batch})
+		lim, _, ltr, err := ExecutePlan(src, limited, ExecOptions{BatchRows: batch})
 		if err != nil {
 			t.Fatalf("%s: limited scan: %v", db.Label(), err)
 		}
@@ -133,97 +153,90 @@ func TestStreamingEarlyTermination(t *testing.T) {
 }
 
 // TestStreamingTopNHeapCompares pins the bounded-heap cost model: a TopN
-// with limit k over n input rows charges n·ceil(log2 k) comparisons and is
-// marked Heap in the trace, while the materializing executor's full sort
-// charges n·ceil(log2 n).
+// with limit k over n input rows returns the first k rows of the full sort,
+// charges n·ceil(log2 k) comparisons and is marked Heap in the trace, while
+// plain ORDER BY runs the engine's full sort at n·ceil(log2 n).
 func TestStreamingTopNHeapCompares(t *testing.T) {
 	cf := newCrafted(t)
 	ord := DictValues{Dict: cf.g.Dict}
 	access := &Access{Pattern: Pat(V("s"), C(cf.cat.Consts.Type), V("o"))}
+	keys := []SortKey{{Col: "o"}, {Col: "s"}}
 	for _, db := range allDatabases(t, cf.g, cf.cat) {
 		src := db.(PhysicalSource)
+		all := &TopN{In: access, Keys: keys, Limit: -1, Ord: ord}
+		sorted, _, atr, err := ExecutePlan(src, all, ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s: ORDER BY: %v", db.Label(), err)
+		}
+		if len(atr.TopNs) != 1 || atr.TopNs[0].Heap {
+			t.Fatalf("%s: unbounded ORDER BY should not use the heap: %+v", db.Label(), atr.TopNs)
+		}
+		full := atr.TopNs[0]
+		if wantCmp := sortCompares(full.Input); full.Compares != wantCmp {
+			t.Errorf("%s: full sort of %d rows charged %d compares, want %d",
+				db.Label(), full.Input, full.Compares, wantCmp)
+		}
 		for _, k := range []int{1, 2, 3} {
-			topn := &TopN{In: access, Keys: []SortKey{{Col: "o"}, {Col: "s"}}, Limit: k, Ord: ord}
-			want, _, mtr, err := ExecutePlan(src, topn, ExecOptions{})
+			topn := &TopN{In: access, Keys: keys, Limit: k, Ord: ord}
+			got, _, str, err := ExecutePlan(src, topn, ExecOptions{BatchRows: 3})
 			if err != nil {
-				t.Fatalf("%s: materializing TopN: %v", db.Label(), err)
+				t.Fatalf("%s: TopN: %v", db.Label(), err)
 			}
-			got, _, str, err := ExecutePlan(src, topn, ExecOptions{Streaming: true, BatchRows: 3})
-			if err != nil {
-				t.Fatalf("%s: streaming TopN: %v", db.Label(), err)
+			if fmt.Sprint(got.Data) != fmt.Sprint(sorted.Data[:k*sorted.W]) {
+				t.Fatalf("%s: TopN limit %d: %v, full sort prefix %v", db.Label(), k, got.Data, sorted.Data[:k*sorted.W])
 			}
-			if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-				t.Fatalf("%s: TopN limit %d: streaming %v, materializing %v", db.Label(), k, got.Data, want.Data)
+			if len(str.TopNs) != 1 {
+				t.Fatalf("%s: %d TopN stats", db.Label(), len(str.TopNs))
 			}
-			if len(mtr.TopNs) != 1 || len(str.TopNs) != 1 {
-				t.Fatalf("%s: TopN stats: materializing %d, streaming %d", db.Label(), len(mtr.TopNs), len(str.TopNs))
-			}
-			m, s := mtr.TopNs[0], str.TopNs[0]
-			if m.Heap {
-				t.Errorf("%s: materializing TopN marked Heap", db.Label())
-			}
+			s := str.TopNs[0]
 			if !s.Heap {
-				t.Errorf("%s: streaming TopN limit %d not marked Heap", db.Label(), k)
+				t.Errorf("%s: TopN limit %d not marked Heap", db.Label(), k)
 			}
-			if s.Input != m.Input {
-				t.Errorf("%s: TopN input rows: streaming %d, materializing %d", db.Label(), s.Input, m.Input)
+			if s.Input != full.Input {
+				t.Errorf("%s: TopN input rows: heap %d, full sort %d", db.Label(), s.Input, full.Input)
 			}
 			n := int64(s.Input)
 			if wantCmp := n * ceilLog2(k); s.Compares != wantCmp {
 				t.Errorf("%s: heap TopN(n=%d, k=%d) charged %d compares, want n·ceil(log2 k) = %d",
 					db.Label(), n, k, s.Compares, wantCmp)
 			}
-			if wantCmp := sortCompares(s.Input); m.Compares != wantCmp {
-				t.Errorf("%s: full-sort TopN(n=%d) charged %d compares, want %d",
-					db.Label(), n, m.Compares, wantCmp)
-			}
-		}
-		// Plain ORDER BY (limit < 0) cannot bound its heap: the streaming
-		// executor falls back to a full sort and says so in the trace.
-		all := &TopN{In: access, Keys: []SortKey{{Col: "o"}, {Col: "s"}}, Limit: -1, Ord: ord}
-		_, _, str, err := ExecutePlan(src, all, ExecOptions{Streaming: true})
-		if err != nil {
-			t.Fatalf("%s: streaming ORDER BY: %v", db.Label(), err)
-		}
-		if len(str.TopNs) != 1 || str.TopNs[0].Heap {
-			t.Errorf("%s: unbounded ORDER BY should not use the heap: %+v", db.Label(), str.TopNs)
 		}
 	}
 }
 
 // TestStreamingPeakMemoryBounded asserts the headline memory claim: a
-// LIMIT-10 plan's tracked peak bytes under the streaming executor are at
-// least 10× below the materializing executor's, which holds every
-// intermediate live.
+// LIMIT-10 plan's tracked peak bytes are at least 10× below the same scan
+// drained without the LIMIT, which holds the whole scanned range.
 func TestStreamingPeakMemoryBounded(t *testing.T) {
 	_, _, dbs := streamGen(t)
-	plan := &Limit{In: &Access{Pattern: Pat(V("s"), V("p"), V("o"))}, N: 10}
+	scan := &Access{Pattern: Pat(V("s"), V("p"), V("o"))}
+	plan := &Limit{In: scan, N: 10}
 	for _, db := range dbs {
 		src := db.(PhysicalSource)
-		want, _, mtr, err := ExecutePlan(src, plan, ExecOptions{})
+		all, _, mtr, err := ExecutePlan(src, scan, ExecOptions{})
 		if err != nil {
-			t.Fatalf("%s: materializing: %v", db.Label(), err)
+			t.Fatalf("%s: full scan: %v", db.Label(), err)
 		}
-		got, _, str, err := ExecutePlan(src, plan, ExecOptions{Streaming: true, BatchRows: 64})
+		got, _, str, err := ExecutePlan(src, plan, ExecOptions{BatchRows: 64})
 		if err != nil {
-			t.Fatalf("%s: streaming: %v", db.Label(), err)
+			t.Fatalf("%s: LIMIT 10: %v", db.Label(), err)
 		}
-		if fmt.Sprint(got.Data) != fmt.Sprint(want.Data) {
-			t.Fatalf("%s: LIMIT 10 results differ between modes", db.Label())
+		if fmt.Sprint(got.Data) != fmt.Sprint(all.Data[:10*all.W]) {
+			t.Fatalf("%s: LIMIT 10 is not the scan's prefix", db.Label())
 		}
 		if str.PeakBytes <= 0 || mtr.PeakBytes <= 0 {
-			t.Fatalf("%s: missing peak-memory accounting: streaming %d, materializing %d",
+			t.Fatalf("%s: missing peak-memory accounting: limited %d, full %d",
 				db.Label(), str.PeakBytes, mtr.PeakBytes)
 		}
 		if str.PeakBytes*10 > mtr.PeakBytes {
-			t.Errorf("%s: streaming peak %d bytes, materializing %d — want ≥10× reduction",
+			t.Errorf("%s: LIMIT 10 peak %d bytes, full scan %d — want ≥10× reduction",
 				db.Label(), str.PeakBytes, mtr.PeakBytes)
 		}
 	}
 }
 
-// TestStreamingWorkerChargeDeterminism pins satellite (2): with the worker
-// pool on and the clock in overlapped mode, a fully drained streaming query
+// TestStreamingWorkerChargeDeterminism pins worker-pool accounting: with the
+// pool on and the clock in overlapped mode, a fully drained query
 // charges the same simulated CPU and I/O on every run, regardless of how
 // the fan-out's goroutines interleave.
 func TestStreamingWorkerChargeDeterminism(t *testing.T) {
@@ -234,7 +247,7 @@ func TestStreamingWorkerChargeDeterminism(t *testing.T) {
 		t.Fatalf("LoadRowVert: %v", err)
 	}
 	store.Clock().SetOverlapped(true)
-	opt := ExecOptions{Streaming: true, Workers: 4}
+	opt := ExecOptions{Workers: 4}
 	q := Query{ID: Q2} // unbound-property fan-out over every table
 	run := func() (user, io int64) {
 		u0, i0 := store.Clock().User(), store.Clock().IO()
@@ -257,8 +270,8 @@ func TestStreamingWorkerChargeDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamingContextCancel asserts a cancelled context aborts a streaming
-// plan at a batch boundary with ctx.Err.
+// TestStreamingContextCancel asserts a cancelled context aborts a plan at a
+// batch boundary with ctx.Err.
 func TestStreamingContextCancel(t *testing.T) {
 	cf := newCrafted(t)
 	dbs := allDatabases(t, cf.g, cf.cat)
@@ -269,8 +282,8 @@ func TestStreamingContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ExecutePlanCtx(ctx, src, p.Root, ExecOptions{Streaming: true}); err == nil {
-		t.Fatal("cancelled streaming plan returned no error")
+	if _, _, _, err := ExecutePlanCtx(ctx, src, p.Root, ExecOptions{}); err == nil {
+		t.Fatal("cancelled plan returned no error")
 	} else if ctx.Err() == nil || err.Error() == "" {
 		t.Fatalf("unexpected error: %v", err)
 	}

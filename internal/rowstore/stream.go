@@ -5,19 +5,17 @@ import (
 	"blackswan/internal/rel"
 )
 
-// This file is the row store's side of the streaming executor contract
-// (core.StreamOps / core.StreamSource). The streaming operators themselves
-// live once in internal/core and are engine-agnostic; what the engine
-// supplies is (a) per-row charge rates matching its tuple-at-a-time cost
-// model, and (b) a pull-based scan whose simulated charges replicate ScanEq
-// batch by batch, so early termination translates into real saved I/O.
+// This file is the row store's side of the executor contract
+// (core.PhysicalOps / core.StreamSource). The operators themselves live
+// once in internal/core and are engine-agnostic; what the engine supplies
+// is (a) the charges of each operator class under its tuple-at-a-time cost
+// model — one accounting call per class, each method called once per
+// operator with its total row count — and (b) a pull-based scan whose
+// simulated charges replicate ScanEq batch by batch, so early termination
+// translates into real saved I/O.
 
-// StreamNode charges one plan-node startup, as node() does for every
-// materializing operator.
-func (e *Engine) StreamNode() { e.Store.ChargeCPU(e.Costs.NodeStartup) }
-
-// StreamScanRows charges emitting n scanned tuples.
-func (e *Engine) StreamScanRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.ScanTuple) }
+// StreamNode charges one plan-node startup.
+func (e *Engine) StreamNode() { e.node() }
 
 // StreamFilterRows charges n residual predicate evaluations.
 func (e *Engine) StreamFilterRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.FilterTuple) }
@@ -28,8 +26,12 @@ func (e *Engine) StreamHashBuildRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.
 // StreamHashProbeRows charges probing n tuples against a hash table.
 func (e *Engine) StreamHashProbeRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.HashProbe) }
 
-// StreamMergeRows charges advancing n tuples through a merge join.
-func (e *Engine) StreamMergeRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.MergeTuple) }
+// StreamMergeRows charges a merge join over nl left and nr right tuples,
+// each advanced once.
+func (e *Engine) StreamMergeRows(nl, nr int) { e.Store.ChargeCPU(int64(nl+nr) * e.Costs.MergeTuple) }
+
+// StreamUnionNode charges a binary union's one plan node.
+func (e *Engine) StreamUnionNode() { e.node() }
 
 // StreamUnionRows charges moving n tuples through a union.
 func (e *Engine) StreamUnionRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.UnionTuple) }
@@ -45,13 +47,13 @@ func (e *Engine) StreamGroupRows(n, keys int) { e.Store.ChargeCPU(int64(n) * e.C
 // row engine implements it as a hash semijoin probe (SemiJoinIn).
 func (e *Engine) StreamRestrictRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.HashProbe) }
 
-// StreamJoinEmitRows charges materializing n join output rows. Free in the
+// StreamJoinEmitRows charges assembling n join output rows. Free in the
 // row model: a row store hands the already-assembled tuple pair upward, and
 // the per-tuple work was charged on the probe.
 func (e *Engine) StreamJoinEmitRows(n, w int) {}
 
 // StreamEmitRows charges moving n finished rows into an output buffer
-// (TopN's result copy in the materializing path charges the same rate).
+// (TopN's result copy charges the same rate).
 func (e *Engine) StreamEmitRows(n, w int) { e.Store.ChargeCPU(int64(n) * e.Costs.ScanTuple) }
 
 // StreamSortCompares charges n sort comparisons (ORDER BY / heap TopN).

@@ -17,10 +17,9 @@
 //     so N clients never oversubscribe the host with N×Workers goroutines;
 //     waiting clients honour context cancellation;
 //   - streaming execution: admitted queries run on the pull-based batched
-//     executor by default (Config.Materialize opts out), so each in-flight
-//     query holds batches plus operator state rather than every
-//     intermediate result, and LIMIT/TopN requests release their admission
-//     slot as soon as their prefix is complete;
+//     executor, so each in-flight query holds batches plus operator state
+//     rather than every intermediate result, and LIMIT/TopN requests
+//     release their admission slot as soon as their prefix is complete;
 //   - request contexts: the client's context threads through
 //     core.ExecutePlanCtx, so a cancelled or expired request aborts at the
 //     next operator (or per-property scan) boundary.
@@ -93,12 +92,6 @@ type Config struct {
 	// negative value disables caching (every execution compiles — the
 	// cold baseline the benchmark compares against).
 	CacheSize int
-	// Materialize switches executions back to the materializing executor.
-	// The default is the streaming executor — results are byte-identical,
-	// but per-query memory stays bounded by batches plus operator state and
-	// LIMIT/TopN queries terminate their scans early, which is what matters
-	// most under concurrent traffic.
-	Materialize bool
 	// SlowQueryThreshold enables the slow-query log: served queries whose
 	// latency (admission wait included) reaches the threshold are recorded
 	// in a bounded ring readable at /debug/slow. 0 disables the log.
@@ -648,12 +641,10 @@ func (s *Service) exec(ctx context.Context, sn *snapshot, p *Prepared, ti int, c
 		<-s.sem
 	}()
 	execCtx, execSpan := trace.StartSpan(ctx, "execute")
-	execSpan.SetAttr(trace.String("system", t.Name), trace.Bool("streaming", !s.cfg.Materialize),
-		trace.Int("version", int64(sn.version)))
+	execSpan.SetAttr(trace.String("system", t.Name), trace.Int("version", int64(sn.version)))
 	out, _, tr, err := core.ExecutePlanCtx(execCtx, t.Src, p.Compiled.Root, core.ExecOptions{
-		Workers:   s.cfg.ExecWorkers,
-		Streaming: !s.cfg.Materialize,
-		Profile:   opt.Profile,
+		Workers: s.cfg.ExecWorkers,
+		Profile: opt.Profile,
 	})
 	latency := time.Since(start)
 	fp := Fingerprint(p.Text)

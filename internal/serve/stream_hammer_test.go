@@ -15,7 +15,7 @@ import (
 // TestStreamingHammer drives many concurrent clients through a streaming
 // service — the default configuration — against every scheme at once, with
 // plain and LIMIT-bearing queries mixed, and checks every response byte-for-
-// byte against a single-threaded materializing baseline. Run under -race
+// byte against a single-threaded sequential baseline. Run under -race
 // (CI does) this is the concurrency-safety proof for the shared stores, the
 // plan cache, and the streaming executor's per-query state.
 func TestStreamingHammer(t *testing.T) {
@@ -28,7 +28,7 @@ func TestStreamingHammer(t *testing.T) {
 		`SELECT * WHERE { ?s <barton/type> ?t } ORDER BY ?t ?s LIMIT 3`,
 		`SELECT ?t (COUNT AS ?n) WHERE { ?s <barton/type> ?t } GROUP BY ?t ORDER BY ?n DESC LIMIT 2`,
 	)
-	// Materializing single-threaded baseline per (text, system).
+	// Single-threaded sequential baseline per (text, system).
 	type key struct{ text, system string }
 	want := map[key]*rel.Rel{}
 	for _, text := range texts {

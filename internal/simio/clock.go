@@ -23,7 +23,7 @@ import (
 // The clock has two composition modes. In the default (synchronous) mode,
 // real time is cpu+io: the paper's engines issue blocking reads, so every
 // I/O stall adds to the wall clock. In overlapped mode, real time is
-// max(cpu, io): the streaming executor pulls fixed-size batches through a
+// max(cpu, io): the plan executor pulls fixed-size batches through a
 // pipeline, so the device can read ahead under the CPU work of earlier
 // batches and only the longer of the two resources bounds the run. The mode
 // is a property of the measurement (the harness sets it per run), not of
@@ -109,20 +109,15 @@ type Machine struct {
 	CPUScale float64
 }
 
-// The three machines of Table 3. Machine A: 2 raid-0 disks, ~100 MB/s.
-// Machine B: 10 raid-5 disks, ~390 MB/s but a slightly slower per-request
-// path (software raid-5). Machine C (the original paper's): 3 raid-0 disks,
-// ~165 MB/s.
+// The machines of Table 3 the experiments run on. Machine A: 2 raid-0
+// disks, ~100 MB/s. Machine B: 10 raid-5 disks, ~390 MB/s but a slightly
+// slower per-request path (software raid-5).
 func MachineA() Machine {
 	return Machine{Name: "A", SeqReadMBps: 105, SeekLatency: 8 * time.Millisecond, RequestOverhead: 150 * time.Microsecond, CPUScale: 1.0}
 }
 
 func MachineB() Machine {
 	return Machine{Name: "B", SeqReadMBps: 385, SeekLatency: 9 * time.Millisecond, RequestOverhead: 170 * time.Microsecond, CPUScale: 1.05}
-}
-
-func MachineC() Machine {
-	return Machine{Name: "C", SeqReadMBps: 165, SeekLatency: 8 * time.Millisecond, RequestOverhead: 160 * time.Microsecond, CPUScale: 1.1}
 }
 
 // ScaleSeek returns a copy of m with the seek latency multiplied by f.
